@@ -421,11 +421,13 @@ std::unordered_map<std::string, SpecOverride> spec_for(
       spec[kEvictToctou].disabled = true;
       break;
     case Mode::kArmedUnmatched: {
-      // The put-side probe participates locally on every call; a spec
-      // bound of 0 is the production answer ("this pair already
-      // reproduced, stop paying for it") and exercises the sticky
-      // bounded-out fast path.  The get-side probe needs no entry: its
-      // local predicate (resize_pending) rejects on quiescent shards.
+      // The put-side probe local-rejects unless its key sits in an open
+      // eviction window (evict_window_key_); only those puts arrive.  A
+      // spec bound of 0 is the production answer for them ("this pair
+      // already reproduced, stop paying for it"): every such arrival
+      // takes the sticky bounded-out fast path.  The get-side probe
+      // needs no entry: its local predicate (resize_pending) rejects on
+      // quiescent shards.
       SpecOverride bounded;
       bounded.bound = 0;
       spec[kEvictToctou] = bounded;

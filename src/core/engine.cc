@@ -360,6 +360,76 @@ void Engine::await_turn(internal::GroupState& group, int rank,
                              scaled(settings_.guard_wait_cap()));
 }
 
+namespace {
+
+/// The bound check: lock-free in admit(), and exact when re-run under
+/// the slot mutex (hits only grows while mu is held, so `bound = n`
+/// still means at most n matched groups).  True — the call counted as
+/// bounded-out — once the name has spent its hit budget.
+bool spent(const internal::NameRecord& record, const BTrigger& bt,
+           const SpecOverride* entry) {
+  internal::HotCounters& hot = record.slot->hot;
+  // Cold-spec pre-screen: a previous call in this spec generation saw
+  // the spec's budget exhausted and published the sticky, so this call
+  // skips even the hits load.  Only spec-derived bounds stick —
+  // programmatic bounds may differ between same-name trigger objects.
+  const bool spec_bound = entry != nullptr && entry->bound.has_value();
+  if (!spec_bound ||
+      record.cold_bounded.load(std::memory_order_relaxed) != entry) {
+    const std::uint64_t bound = spec_bound ? *entry->bound : bt.bound_count();
+    if (hot.hits.load(std::memory_order_relaxed) < bound) return false;
+    if (spec_bound) record.cold_bounded.store(entry, std::memory_order_relaxed);
+  }
+  hot.mine().bounded.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+}  // namespace
+
+bool Engine::admit(const internal::NameRecord& record, const BTrigger& bt,
+                   const SpecOverride* entry) {
+  // User code: evaluate outside every lock (it may be arbitrarily
+  // expensive, though it must not block).
+  const bool local_ok = bt.predicate_local();
+
+  // ---- armed fast path: no slot mutex (DESIGN.md §5i) ----------------
+  // The three non-matching outcomes account themselves with relaxed
+  // atomics and return; only a call that may actually rendezvous pays
+  // for the lock.  A local reject writes only its own thread's stripe.
+  internal::HotCounters& hot = record.slot->hot;
+  if (!local_ok) {
+    hot.mine().local_rejects.fetch_add(1, std::memory_order_relaxed);
+    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record.id, -1);
+    return false;
+  }
+  const std::uint64_t arrival =
+      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
+  // An arrival and its immediate verdict (ignore) describe one instant:
+  // one clock read stamps both (Trace::stamp batching).
+  std::uint64_t obs_stamp = 0;
+  if (CBP_OBS_ENABLED()) {
+    obs_stamp = obs::Trace::stamp();
+    obs::Trace::record_at(obs_stamp, obs::EventKind::kArrival, record.id, -1);
+  }
+  if (spent(record, bt, entry)) return false;
+  const std::uint64_t ignore_first = entry != nullptr && entry->ignore_first
+                                         ? *entry->ignore_first
+                                         : bt.ignore_first_count();
+  if (arrival <= ignore_first) {
+    // ignore_first suppresses the arrival entirely (§6.3): it neither
+    // postpones *nor* matches a postponed peer.  This check must come
+    // before any matching — an arrival inside the ignore window used to
+    // be able to complete a match, which made `ignore_first = n` with
+    // an exact arrival counter still hit during the warm-up phase.
+    hot.mine().ignored.fetch_add(1, std::memory_order_relaxed);
+    if (CBP_OBS_ENABLED()) {
+      obs::Trace::record_at(obs_stamp, obs::EventKind::kIgnore, record.id, -1);
+    }
+    return false;
+  }
+  return true;
+}
+
 TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
                               std::chrono::microseconds timeout, bool scoped) {
   assert(arity >= 2 && rank >= 0 && rank < arity);
@@ -374,10 +444,6 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
   // without recompiling.  The override lives in the interned record, so
   // this fast path takes no lock and hashes no strings — a spec-disabled
   // breakpoint costs two dependent atomic loads.
-  std::uint64_t ignore_first = bt.ignore_first_count();
-  std::uint64_t bound = bt.bound_count();
-  bool process_group = false;
-  bool spec_bound = false;
   const SpecOverride* entry = record->spec.load(std::memory_order_acquire);
   if (entry != nullptr) {
     if (entry->disabled) return {};
@@ -401,88 +467,30 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
         }
       }
     }
-    if (entry->ignore_first) ignore_first = *entry->ignore_first;
-    if (entry->bound) {
-      bound = *entry->bound;
-      spec_bound = true;
-    }
-    process_group = entry->scope == SpecScope::kProcessGroup;
     if (entry->pattern != nullptr) {
       // Pattern breakpoint: the declared rank maps onto the pattern's
       // site index, so existing ranked insertions join the automaton.
       if (rank >= static_cast<int>(entry->pattern->site_count())) return {};
-      return trigger_pattern(*record, bt, *entry, rank, timeout, scoped,
-                             ignore_first, bound, spec_bound);
+      return trigger_pattern(*record, bt, *entry, rank, timeout, scoped);
     }
   }
+
+  if (!admit(*record, bt, entry)) return {};
 
   // Process-group dispatch (core/transport.h): only a spec entry can ask
   // for it, so purely local breakpoints never read the transport.  A
   // remote park is a kernel wait — under a bound virtual clock (which
   // cannot schedule a foreign process) the entry degrades to local
   // matching, as it does when no transport is attached.
-  if (process_group && rt::bound_virtual_clock() == nullptr) {
+  if (entry != nullptr && entry->scope == SpecScope::kProcessGroup &&
+      rt::bound_virtual_clock() == nullptr) {
     if (std::shared_ptr<TransportPolicy> remote_transport = transport()) {
       return trigger_remote(*record, bt, rank, arity, timeout, scoped,
-                            ignore_first, bound, *remote_transport);
+                            *remote_transport);
     }
   }
 
   internal::Slot* slot = record->slot.get();
-
-  // User code: evaluate outside the slot lock (it may be arbitrarily
-  // expensive, though it must not block).
-  const bool local_ok = bt.predicate_local();
-
-  // ---- armed fast path: no slot mutex (DESIGN.md §5i) ----------------
-  // The three non-matching outcomes account themselves with relaxed
-  // atomics and return; only a call that may actually rendezvous pays
-  // for the lock.
-  internal::HotCounters& hot = slot->hot;
-  hot.calls.fetch_add(1, std::memory_order_relaxed);
-  if (!local_ok) {
-    hot.local_rejects.fetch_add(1, std::memory_order_relaxed);
-    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record->id, -1);
-    return {};
-  }
-  const std::uint64_t arrival =
-      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
-  // An arrival and its immediate verdict (ignore) describe one instant:
-  // one clock read stamps both (Trace::stamp batching).
-  std::uint64_t obs_stamp = 0;
-  if (CBP_OBS_ENABLED()) {
-    obs_stamp = obs::Trace::stamp();
-    obs::Trace::record_at(obs_stamp, obs::EventKind::kArrival, record->id, -1);
-  }
-  // Cold-spec pre-screen: a previous call in this spec generation saw
-  // the spec's hit budget exhausted and published the sticky, so this
-  // call can skip even the hits load.  Only spec-derived bounds stick —
-  // programmatic bounds may differ between same-name trigger objects.
-  if (spec_bound &&
-      record->cold_bounded.load(std::memory_order_relaxed) == entry) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    if (spec_bound) {
-      record->cold_bounded.store(entry, std::memory_order_relaxed);
-    }
-    return {};
-  }
-  if (arrival <= ignore_first) {
-    // ignore_first suppresses the arrival entirely (§6.3): it neither
-    // postpones *nor* matches a postponed peer.  This check must come
-    // before try_match — an arrival inside the ignore window used to
-    // be able to complete a match, which made `ignore_first = n` with
-    // an exact arrival counter still hit during the warm-up phase.
-    hot.ignored.fetch_add(1, std::memory_order_relaxed);
-    if (CBP_OBS_ENABLED()) {
-      obs::Trace::record_at(obs_stamp, obs::EventKind::kIgnore, record->id, -1);
-    }
-    return {};
-  }
-
   std::shared_ptr<internal::GroupState> group;
   int my_rank = rank;
   HitInfo info;
@@ -490,16 +498,7 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
 
   {
     std::unique_lock lock(slot->mu);
-    // Exact bound re-check: hits only grows while mu is held, so a call
-    // whose lock-free pre-screen read a stale value bounds out here and
-    // `bound = n` still means at most n matched groups.
-    if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-      hot.bounded.fetch_add(1, std::memory_order_relaxed);
-      if (spec_bound) {
-        record->cold_bounded.store(entry, std::memory_order_relaxed);
-      }
-      return {};
-    }
+    if (spent(*record, bt, entry)) return {};  // the exact re-check
 
     if (try_match(*slot, bt, rank, arity, scoped, group, my_rank, info)) {
       fire_observer = true;  // last-arriving participant reports the hit
@@ -603,65 +602,19 @@ TriggerResult Engine::trigger_site(BTrigger& bt, std::string_view site,
     timeout =
         std::chrono::duration_cast<std::chrono::microseconds>(*entry->pause);
   }
-  std::uint64_t ignore_first = bt.ignore_first_count();
-  std::uint64_t bound = bt.bound_count();
-  bool spec_bound = false;
-  if (entry->ignore_first) ignore_first = *entry->ignore_first;
-  if (entry->bound) {
-    bound = *entry->bound;
-    spec_bound = true;
-  }
-  return trigger_pattern(*record, bt, *entry, index, timeout, scoped,
-                         ignore_first, bound, spec_bound);
+  return trigger_pattern(*record, bt, *entry, index, timeout, scoped);
 }
 
 TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
                                       BTrigger& bt, const SpecOverride& entry,
                                       int site,
                                       std::chrono::microseconds timeout,
-                                      bool scoped, std::uint64_t ignore_first,
-                                      std::uint64_t bound, bool spec_bound) {
+                                      bool scoped) {
+  // The automaton sits strictly behind admission's lock-free early-outs
+  // (DESIGN.md §5i).
+  if (!admit(record, bt, &entry)) return {};
+
   internal::Slot* slot = record.slot.get();
-
-  // Same armed-fast-path counter discipline as trigger(): the three
-  // non-matching outcomes account themselves with relaxed atomics and
-  // return before the slot mutex (DESIGN.md §5i) — the automaton sits
-  // strictly behind the existing early-outs.
-  const bool local_ok = bt.predicate_local();
-  internal::HotCounters& hot = slot->hot;
-  hot.calls.fetch_add(1, std::memory_order_relaxed);
-  if (!local_ok) {
-    hot.local_rejects.fetch_add(1, std::memory_order_relaxed);
-    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record.id, -1);
-    return {};
-  }
-  const std::uint64_t arrival =
-      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t obs_stamp = 0;
-  if (CBP_OBS_ENABLED()) {
-    obs_stamp = obs::Trace::stamp();
-    obs::Trace::record_at(obs_stamp, obs::EventKind::kArrival, record.id, -1);
-  }
-  if (spec_bound &&
-      record.cold_bounded.load(std::memory_order_relaxed) == &entry) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    if (spec_bound) {
-      record.cold_bounded.store(&entry, std::memory_order_relaxed);
-    }
-    return {};
-  }
-  if (arrival <= ignore_first) {
-    hot.ignored.fetch_add(1, std::memory_order_relaxed);
-    if (CBP_OBS_ENABLED()) {
-      obs::Trace::record_at(obs_stamp, obs::EventKind::kIgnore, record.id, -1);
-    }
-    return {};
-  }
-
   std::shared_ptr<internal::GroupState> group;
   int my_rank = -1;
   HitInfo info;
@@ -669,14 +622,7 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
 
   {
     std::unique_lock lock(slot->mu);
-    // Exact bound re-check, as in trigger().
-    if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-      hot.bounded.fetch_add(1, std::memory_order_relaxed);
-      if (spec_bound) {
-        record.cold_bounded.store(&entry, std::memory_order_relaxed);
-      }
-      return {};
-    }
+    if (spent(record, bt, &entry)) return {};  // the exact re-check
     // (Re)build the matcher when the installed entry changed: new spec
     // generations have new entry addresses, so pointer identity is the
     // epoch — the cold_bounded idiom.
@@ -724,7 +670,7 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
         if (woke_resumed) rt::clock_notify_all(slot->cv);
         return {};
       case PatternMatcher::Outcome::Kind::kHit: {
-        hot.hits.fetch_add(1, std::memory_order_relaxed);
+        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
         group = out.group;
         my_rank = out.rank;
         info = std::move(out.info);
@@ -848,39 +794,15 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
 TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
                                      BTrigger& bt, int rank, int arity,
                                      std::chrono::microseconds timeout,
-                                     bool scoped, std::uint64_t ignore_first,
-                                     std::uint64_t bound,
-                                     TransportPolicy& transport) {
+                                     bool scoped, TransportPolicy& transport) {
   internal::Slot* slot = record.slot.get();
 
-  // Local refinements stay in-process (core/transport.h): each process
-  // keeps its own warm-up window, hit budget and counters, exactly as if
-  // the paper's library were loaded into every process separately.  The
-  // same lock-free counter discipline as the local path (the remote
-  // path is cold — a kernel round-trip follows — but snapshots must see
-  // one coherent set of counters).
-  const bool local_ok = bt.predicate_local();
-  internal::HotCounters& hot = slot->hot;
-  hot.calls.fetch_add(1, std::memory_order_relaxed);
-  if (!local_ok) {
-    hot.local_rejects.fetch_add(1, std::memory_order_relaxed);
-    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record.id, -1);
-    return {};
-  }
-  const std::uint64_t arrival =
-      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
-  CBP_OBS_EVENT(obs::EventKind::kArrival, record.id, -1);
+  // Local refinements stay in-process (core/transport.h): admit() has
+  // already applied this process's own warm-up window and hit budget,
+  // exactly as if the paper's library were loaded into every process
+  // separately.
   {
     std::scoped_lock lock(slot->mu);
-    if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-      hot.bounded.fetch_add(1, std::memory_order_relaxed);
-      return {};
-    }
-    if (arrival <= ignore_first) {
-      hot.ignored.fetch_add(1, std::memory_order_relaxed);
-      CBP_OBS_EVENT(obs::EventKind::kIgnore, record.id, -1);
-      return {};
-    }
     slot->cold.postponed += 1;
     CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, rank);
   }
@@ -922,7 +844,7 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
         // Per-process view: `hits` counts groups this process joined —
         // the value `bound` compares against, so the budget is spent by
         // participation, not by cluster-wide totals.
-        hot.hits.fetch_add(1, std::memory_order_relaxed);
+        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
         slot->cold.participants += 1;
         if (CBP_OBS_ENABLED()) {
           obs::Trace::record_for(rt::this_thread_id(), obs::EventKind::kMatch,
@@ -983,6 +905,18 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
 
 namespace {
 
+using Stripe = internal::HotCounters::Stripe;
+
+/// Sum of one striped counter over every stripe.
+std::uint64_t sum(const internal::HotCounters& hot,
+                  std::atomic<std::uint64_t> Stripe::*field) {
+  std::uint64_t total = 0;
+  for (const Stripe& stripe : hot.stripes) {
+    total += (stripe.*field).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 /// Merges a slot's lock-free hot counters and mutex-guarded slow-path
 /// counters into one plain snapshot.
 BreakpointStats snapshot_slot(const internal::Slot& slot) {
@@ -991,11 +925,11 @@ BreakpointStats snapshot_slot(const internal::Slot& slot) {
     std::scoped_lock lock(slot.mu);
     out = slot.cold;
   }
-  out.calls = slot.hot.calls.load(std::memory_order_relaxed);
-  out.local_rejects = slot.hot.local_rejects.load(std::memory_order_relaxed);
+  out.local_rejects = sum(slot.hot, &Stripe::local_rejects);
   out.arrivals = slot.hot.arrivals.load(std::memory_order_relaxed);
-  out.ignored = slot.hot.ignored.load(std::memory_order_relaxed);
-  out.bounded = slot.hot.bounded.load(std::memory_order_relaxed);
+  out.calls = out.local_rejects + out.arrivals;
+  out.ignored = sum(slot.hot, &Stripe::ignored);
+  out.bounded = sum(slot.hot, &Stripe::bounded);
   out.hits = slot.hot.hits.load(std::memory_order_relaxed);
   return out;
 }
@@ -1028,7 +962,9 @@ std::vector<std::string> Engine::names() const {
   // "seen" means the engine actually counted a call for it.
   std::vector<std::string> out;
   for (const internal::NameRecord* record : records_snapshot()) {
-    if (record->slot->hot.calls.load(std::memory_order_relaxed) > 0) {
+    const internal::HotCounters& hot = record->slot->hot;
+    if (hot.arrivals.load(std::memory_order_relaxed) > 0 ||
+        sum(hot, &Stripe::local_rejects) > 0) {
       out.push_back(record->name);
     }
   }
@@ -1064,11 +1000,12 @@ void Engine::reset() {
     // point into are about to be freed.
     slot->matcher.reset();
     slot->matcher_entry = nullptr;
-    slot->hot.calls.store(0, std::memory_order_relaxed);
-    slot->hot.local_rejects.store(0, std::memory_order_relaxed);
+    for (Stripe& stripe : slot->hot.stripes) {
+      stripe.local_rejects.store(0, std::memory_order_relaxed);
+      stripe.ignored.store(0, std::memory_order_relaxed);
+      stripe.bounded.store(0, std::memory_order_relaxed);
+    }
     slot->hot.arrivals.store(0, std::memory_order_relaxed);
-    slot->hot.ignored.store(0, std::memory_order_relaxed);
-    slot->hot.bounded.store(0, std::memory_order_relaxed);
     slot->hot.hits.store(0, std::memory_order_relaxed);
   }
   // Spec generations retired before the current one can only be freed

@@ -56,28 +56,44 @@ namespace internal {
 /// so the three non-matching outcomes — local reject, bounded-out,
 /// ignore-window — return without touching the slot mutex:
 ///
-///   * `arrivals` doubles as the ignore_first window: fetch_add hands
-///     each passing arrival a unique index, so exactly the first
-///     `ignore_first` arrivals are ignored, same as the old under-lock
-///     counter;
-///   * `hits` is only ever *incremented* under the slot mutex (match
-///     exclusivity needs it), but is *read* lock-free by the bound
-///     pre-screen; trigger() re-checks it under the mutex before
-///     matching, so `bound` stays exact — the lock-free read can only
-///     send a call to the slow path spuriously, never let an over-budget
-///     call match.
+///   * the outcome counters that need no global order (`local_rejects`,
+///     `ignored`, `bounded`) are striped: kStripes cache-line-padded
+///     copies indexed by rt::this_thread_id(), so a local reject writes
+///     only a line no other thread writes (the src/detect/striping.h
+///     idiom).  Threads whose ids collide modulo kStripes share a
+///     stripe and stay exact — the adds are atomic.  Only snapshots,
+///     reset() and names() sum the stripes;
+///   * `arrivals` stays shared: fetch_add hands each passing arrival a
+///     unique index, so exactly the first `ignore_first` arrivals are
+///     ignored;
+///   * `hits` stays shared: it is only ever *incremented* under the
+///     slot mutex (match exclusivity needs it), but is *read* lock-free
+///     by the bound pre-screen; the matching paths re-check it under
+///     the mutex, so `bound` stays exact — the lock-free read can only
+///     send a call to the slow path spuriously, never let an
+///     over-budget call match;
+///   * there is no `calls` counter: every call ends in exactly one of a
+///     local reject or an arrival, so snapshots derive
+///     calls = local_rejects + arrivals.
 ///
 /// Snapshots (Engine::stats et al.) merge these with the mutex-guarded
-/// slow-path counters into a plain BreakpointStats; a snapshot taken
-/// while triggers are in flight may catch a call between its calls++ and
-/// its outcome counter — quiescent reads (the documented stats contract)
-/// are exact.
+/// slow-path counters into a plain BreakpointStats.  A snapshot taken
+/// while triggers are in flight may catch an arrival before its verdict
+/// (ignored, bounded, postponed); quiescent reads (the documented stats
+/// contract) are exact.
 struct HotCounters {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> local_rejects{0};
+  struct alignas(64) Stripe {
+    std::atomic<std::uint64_t> local_rejects{0};
+    std::atomic<std::uint64_t> ignored{0};
+    std::atomic<std::uint64_t> bounded{0};
+  };
+  static constexpr std::size_t kStripes = 16;
+
+  /// The calling thread's stripe.
+  Stripe& mine() { return stripes[rt::this_thread_id() % kStripes]; }
+
+  std::array<Stripe, kStripes> stripes;
   std::atomic<std::uint64_t> arrivals{0};
-  std::atomic<std::uint64_t> ignored{0};
-  std::atomic<std::uint64_t> bounded{0};
   std::atomic<std::uint64_t> hits{0};  ///< written under mu, read lock-free
 };
 
@@ -301,24 +317,29 @@ class Engine {
   /// no locks held.
   void await_turn(internal::GroupState& group, int rank, bool scoped) const;
 
-  /// The pattern slow path: counter discipline identical to trigger()'s
-  /// (calls/local_rejects/arrivals/ignored/bounded are the same hot
-  /// counters), then a matcher dispatch under the slot mutex.  `entry`
-  /// must carry a pattern; `site` is its index in the compiled spec.
+  /// The admission pipeline every trigger path runs first: local
+  /// predicate → outcome counters → arrival index → bound pre-screen →
+  /// ignore window, with `entry`'s ignore_first/bound overriding
+  /// `bt`'s.  Lock-free.  False when the call is done (its outcome is
+  /// already counted); true when it may go on to match.
+  bool admit(const internal::NameRecord& record, const BTrigger& bt,
+             const SpecOverride* entry);
+
+  /// The pattern slow path: admit(), then a matcher dispatch under the
+  /// slot mutex.  `entry` must carry a pattern; `site` is its index in
+  /// the compiled spec.
   TriggerResult trigger_pattern(const internal::NameRecord& record,
                                 BTrigger& bt, const SpecOverride& entry,
                                 int site, std::chrono::microseconds timeout,
-                                bool scoped, std::uint64_t ignore_first,
-                                std::uint64_t bound, bool spec_bound);
+                                bool scoped);
 
-  /// Process-group dispatch: the whole postponement/match/release
-  /// protocol runs through `transport` (the broker), with the local
-  /// refinements already applied by trigger().  Called with no locks
-  /// held; does its own stats accounting on `record`'s slot.
+  /// Process-group dispatch for an admitted call: the whole
+  /// postponement/match/release protocol runs through `transport` (the
+  /// broker).  Called with no locks held; does its own stats
+  /// accounting on `record`'s slot.
   TriggerResult trigger_remote(const internal::NameRecord& record,
                                BTrigger& bt, int rank, int arity,
                                std::chrono::microseconds timeout, bool scoped,
-                               std::uint64_t ignore_first, std::uint64_t bound,
                                TransportPolicy& transport);
 
   // ---- interned name table -------------------------------------------

@@ -15,10 +15,14 @@
 
 namespace cbp {
 
-/// Counters for one breakpoint name.  A snapshot is a plain value; live
-/// counters inside the engine are guarded by the owning slot's mutex.
+/// Counters for one breakpoint name.  A snapshot is a plain value.  Live
+/// counters inside the engine are either lock-free atomics (the armed
+/// fast path's, some striped per thread — internal::HotCounters) or
+/// guarded by the owning slot's mutex; `calls` is not stored at all but
+/// derived when the snapshot is taken.
 struct BreakpointStats {
-  std::uint64_t calls = 0;          ///< trigger_here invocations (enabled)
+  /// trigger_here invocations (enabled) = local_rejects + arrivals.
+  std::uint64_t calls = 0;
   std::uint64_t local_rejects = 0;  ///< predicate_local() returned false
   std::uint64_t arrivals = 0;       ///< passed the local predicate
   std::uint64_t ignored = 0;        ///< postponement skipped by ignore_first

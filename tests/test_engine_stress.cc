@@ -2,10 +2,15 @@
 //
 // Many threads hammer many distinct breakpoint names with a mix of
 // outcomes — spec-disabled, local-reject, bound-suppressed, postponed
-// timeout, and matched pairs — all concurrently.  Because every counter
-// update still happens under the per-name slot mutex, the totals must be
-// EXACT, not approximate: this pins down that the lock-free interning
-// and spec fast paths lose no events and double-count nothing.
+// timeout, and matched pairs — all concurrently.  The non-matching
+// outcomes count themselves without the slot mutex: local rejects,
+// ignores and bounded-outs add to per-thread stripes, arrivals and hits
+// to shared atomics, and `calls` is derived from them at snapshot time.
+// Every add is atomic, so the quiescent totals must be EXACT, not
+// approximate: this pins down that the lock-free interning, spec and
+// admission paths lose no events and double-count nothing — also when
+// more threads than stripes share stripes, and after reset() has to
+// zero every stripe.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +29,9 @@ namespace {
 using namespace std::chrono_literals;
 
 constexpr int kThreads = 8;          // paired for the match category
+// More threads than counter stripes, so some threads must share one.
+constexpr int kManyThreads =
+    2 * static_cast<int>(internal::HotCounters::kStripes) + 4;
 constexpr int kDistinct = 32;        // names per non-blocking category
 constexpr std::uint64_t kIters = 40; // per-thread calls per category
 constexpr std::uint64_t kTimeoutIters = 4;
@@ -52,23 +60,18 @@ class EngineStressTest : public ::testing::Test {
   }
 };
 
-TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
-  // Spec: one block of names disabled outright, one block bounded to
-  // zero hits (every arrival suppressed).
-  std::ostringstream spec_text;
-  for (int i = 0; i < kDistinct; ++i) {
-    spec_text << name_for("off", i) << " off\n";
-    spec_text << name_for("bound", i) << " bound=0\n";
-  }
-  BreakpointSpec::parse(spec_text.str()).install();
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
+/// One round of the mixed workload on `threads` threads (even, and a
+/// multiple of 4 so every local-reject name gets the same share), then
+/// the exact counter checks.  Expects the spec installed by the test and
+/// counters that start from zero.
+void run_mixed_round(int threads) {
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([t, threads] {
       // Non-blocking categories: every thread sweeps every name.
       for (std::uint64_t i = 0; i < kIters; ++i) {
-        const int index = static_cast<int>((i * kThreads + t) % kDistinct);
+        const int index = static_cast<int>((i * threads + t) % kDistinct);
 
         // Spec-disabled: returns false before any counter is touched.
         OrderTrigger off(name_for("off", index));
@@ -102,7 +105,7 @@ TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
       }
     });
   }
-  for (std::thread& thread : threads) thread.join();
+  for (std::thread& worker : workers) worker.join();
 
   // --- spec-disabled names: never counted, never listed -------------
   for (int i = 0; i < kDistinct; ++i) {
@@ -112,9 +115,10 @@ TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
   }
 
   // --- local-reject names -------------------------------------------
-  // kThreads sweeps of kIters calls spread round-robin over kDistinct
-  // names: kThreads * kIters / kDistinct calls per name, exactly.
-  const std::uint64_t per_name = kThreads * kIters / kDistinct;
+  // `threads` sweeps of kIters calls spread round-robin over kDistinct
+  // names: threads * kIters / kDistinct calls per name, exactly.
+  const auto n_threads = static_cast<std::uint64_t>(threads);
+  const std::uint64_t per_name = n_threads * kIters / kDistinct;
   for (int i = 0; i < kDistinct; ++i) {
     const BreakpointStats s = Engine::instance().stats(name_for("reject", i));
     EXPECT_EQ(s.calls, per_name) << "reject name " << i;
@@ -134,7 +138,7 @@ TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
   }
 
   // --- timeout names ------------------------------------------------
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < threads; ++t) {
     const BreakpointStats s = Engine::instance().stats(name_for("timeout", t));
     EXPECT_EQ(s.calls, kTimeoutIters) << "timeout name " << t;
     EXPECT_EQ(s.postponed, kTimeoutIters);
@@ -143,7 +147,7 @@ TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
   }
 
   // --- matched pairs ------------------------------------------------
-  for (int pair = 0; pair < kThreads / 2; ++pair) {
+  for (int pair = 0; pair < threads / 2; ++pair) {
     const BreakpointStats s = Engine::instance().stats(name_for("match", pair));
     EXPECT_EQ(s.calls, 2 * kMatchIters) << "match name " << pair;
     EXPECT_EQ(s.hits, kMatchIters);
@@ -176,13 +180,35 @@ TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
   EXPECT_EQ(total.hits, summed.hits);
   EXPECT_EQ(total.participants, summed.participants);
 
+  // Per thread: kIters reject and kIters bound calls, then the timeout
+  // and match calls.
   const std::uint64_t expected_calls =
-      static_cast<std::uint64_t>(kThreads) * kIters * 2  // reject + bound
-      + static_cast<std::uint64_t>(kThreads) * kTimeoutIters
-      + static_cast<std::uint64_t>(kThreads) * kMatchIters;
+      n_threads * (2 * kIters + kTimeoutIters + kMatchIters);
   EXPECT_EQ(total.calls, expected_calls);
-  EXPECT_EQ(total.hits,
-            static_cast<std::uint64_t>(kThreads / 2) * kMatchIters);
+  EXPECT_EQ(total.hits, n_threads / 2 * kMatchIters);
+}
+
+TEST_F(EngineStressTest, MixedOutcomesAcrossThreadsKeepExactCounters) {
+  // Spec: one block of names disabled outright, one block bounded to
+  // zero hits (every arrival suppressed).  reset() keeps it installed.
+  std::ostringstream spec_text;
+  for (int i = 0; i < kDistinct; ++i) {
+    spec_text << name_for("off", i) << " off\n";
+    spec_text << name_for("bound", i) << " bound=0\n";
+  }
+  BreakpointSpec::parse(spec_text.str()).install();
+
+  // Each thread count runs twice with a reset() in between: thread ids
+  // are consecutive, so kManyThreads threads write every stripe, and the
+  // second round's exact totals fail if reset() missed one.
+  for (const int threads : {kThreads, kManyThreads}) {
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, round " << round);
+      Engine::instance().reset();
+      run_mixed_round(threads);
+    }
+  }
 }
 
 // Interning the same names from many threads at once must yield one

@@ -15,6 +15,7 @@
 #include "instrument/tracked_mutex.h"
 #include "runtime/clock.h"
 #include "runtime/latch.h"
+#include "runtime/sim_crash.h"
 
 namespace cbp::fuzz {
 namespace {
@@ -396,21 +397,33 @@ TEST(ActiveSession, FindsAndConfirmsRaceDeadlockAndAtomicity) {
     w1.join();
     w2.join();
     // Deadlock: crossed acquisition order (threads tolerate the
-    // confirmer's escape).
-    std::thread d1([&] {
+    // confirmer's escape).  On parallel cores the unpaused schedule can
+    // really deadlock, so the inner lock is taken with a stall bound: a
+    // stalled thread drops its outer lock, lets the other thread through
+    // and retries.  The unequal bounds keep the two from backing off in
+    // lockstep.  lock_or_stall still reports the kLockRequest the
+    // confirmer throws its escape from, and both threads still reach the
+    // crossing at once.
+    auto crossed = [](TrackedMutex& first, TrackedMutex& second,
+                      std::chrono::milliseconds stall_after) {
       try {
-        TrackedLock outer(lock_a);
-        TrackedLock inner(lock_b);
+        for (;;) {
+          {
+            TrackedLock outer(first);
+            try {
+              second.lock_or_stall(stall_after);
+              second.unlock();
+              return;
+            } catch (const rt::StallError&) {
+            }
+          }
+          std::this_thread::sleep_for(stall_after);
+        }
       } catch (const DeadlockConfirmedError&) {
       }
-    });
-    std::thread d2([&] {
-      try {
-        TrackedLock outer(lock_b);
-        TrackedLock inner(lock_a);
-      } catch (const DeadlockConfirmedError&) {
-      }
-    });
+    };
+    std::thread d1([&] { crossed(lock_a, lock_b, 5ms); });
+    std::thread d2([&] { crossed(lock_b, lock_a, 8ms); });
     d1.join();
     d2.join();
     // Atomicity: a read-modify-write block vs a plain write.

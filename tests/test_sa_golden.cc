@@ -281,9 +281,12 @@ TEST_F(SaGoldenTest, AppsCandidateSpecRoundTripsThroughEngine) {
 //   build/tools/cbp-sa --list src/apps/<app> > tests/golden/<app>.list
 // ---------------------------------------------------------------------------
 
+// Strings, not `const char*`: gtest prints the parameter into each
+// discovered ctest name, and a pointer would print its load address,
+// which differs from one run of the binary to the next.
 class SaGoldenListTest : public SaGoldenTest,
                          public ::testing::WithParamInterface<
-                             std::pair<const char*, const char*>> {};
+                             std::pair<std::string, std::string>> {};
 
 TEST_P(SaGoldenListTest, ListMatchesGolden) {
   const auto [golden_name, app_dir] = GetParam();
@@ -336,7 +339,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair("jigsaw", "src/apps/webserver"),
         std::make_pair("logging", "src/apps/logging")),
     [](const ::testing::TestParamInfo<SaGoldenListTest::ParamType>& info) {
-      return std::string(info.param.first);
+      return info.param.first;
     });
 
 }  // namespace
