@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "broker/wire.h"
-#include "runtime/channel.h"
 
 namespace cbp::broker {
 namespace {
@@ -28,9 +28,10 @@ using SteadyClock = std::chrono::steady_clock;
 /// a wild value is a protocol error, not a resource commitment).
 constexpr int kMaxArity = 64;
 
-/// Idle tick when no deadline is pending: bounds how stale the timer
-/// sweep can get if a wakeup is ever lost.
-constexpr std::chrono::milliseconds kIdleTick{200};
+/// Sanity bound on an ARRIVE's timeout.  Engines send their scaled spec
+/// pause, so a day is ample; a larger value is a protocol error, not a
+/// deadline computation that overflows.
+constexpr std::chrono::milliseconds kMaxArriveTimeout = std::chrono::hours(24);
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -42,25 +43,18 @@ bool set_nonblocking(int fd) {
 struct Broker::Impl {
   explicit Impl(BrokerOptions opts) : options(std::move(opts)) {}
 
-  // ---- events: IO thread -> match thread --------------------------------
-
-  struct Event {
-    enum class Kind : std::uint8_t { kMessage, kDisconnect };
-    Kind kind = Kind::kMessage;
-    std::uint64_t conn_id = 0;
-    Message msg;
+  struct Conn {
+    int fd = -1;
+    std::vector<std::uint8_t> inbuf;
+    std::vector<std::uint8_t> outbuf;
   };
-
-  // ---- match-thread protocol state --------------------------------------
 
   struct Arrival {
     std::uint64_t conn_id = 0;
     std::uint64_t token = 0;
     int rank = 0;
     int arity = 2;
-    bool scoped = false;
     SteadyClock::time_point deadline;
-    std::uint64_t seq = 0;  ///< arrival order (rank tie-break, like §3)
   };
 
   struct Member {
@@ -71,7 +65,6 @@ struct Broker::Impl {
   };
 
   struct Group {
-    std::string name;
     std::vector<Member> members;  ///< indexed by assigned rank
     int granted = -1;             ///< rank currently holding the grant
     SteadyClock::time_point grant_deadline;
@@ -83,22 +76,23 @@ struct Broker::Impl {
   BrokerStats stats;  // guarded by stats_mu
 
   int listen_fd = -1;
-  int wake_r = -1;
+  int wake_r = -1;  // self-pipe: stop() wakes the IO thread through it
   int wake_w = -1;
   std::atomic<bool> stopping{false};
   bool started = false;
 
   std::thread io_thread;
-  std::thread match_thread;
 
-  rt::Channel<Event> events{1024};
+  // ---- IO-thread state: connections and the protocol ---------------------
 
-  // Outbound frames queued by the match thread; the IO thread (sole fd
-  // owner) drains them into per-connection buffers after each wakeup.
-  std::mutex out_mu;
-  std::vector<std::pair<std::uint64_t, Message>> pending_out;  // by out_mu
-
-  // ---- helpers shared by both threads -----------------------------------
+  std::map<std::uint64_t, Conn> conns;
+  std::uint64_t next_conn_id = 1;
+  // Postponed arrivals per name, in arrival order (earliest first).
+  std::unordered_map<std::string, std::vector<Arrival>> postponed;
+  std::unordered_map<std::uint64_t, Group> groups;
+  // (conn_id, token) -> group id, for DONE routing.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> in_group;
+  std::uint64_t next_group_id = 1;
 
   void bump(std::uint64_t BrokerStats::* field, std::uint64_t by = 1) {
     std::scoped_lock lock(stats_mu);
@@ -112,85 +106,340 @@ struct Broker::Impl {
     }
   }
 
+  /// Appends `m` to the recipient's output buffer; the loop flushes it
+  /// at the end of the round.  A recipient already gone is skipped.
   void send_to(std::uint64_t conn_id, const Message& m) {
-    {
-      std::scoped_lock lock(out_mu);
-      pending_out.emplace_back(conn_id, m);
-    }
-    wake();
+    auto it = conns.find(conn_id);
+    if (it == conns.end()) return;
+    const std::vector<std::uint8_t> frame = encode(m);
+    it->second.outbuf.insert(it->second.outbuf.end(), frame.begin(),
+                             frame.end());
   }
 
-  // ---- IO thread ---------------------------------------------------------
+  // ---- protocol ------------------------------------------------------------
 
-  struct Conn {
-    int fd = -1;
-    std::vector<std::uint8_t> inbuf;
-    std::vector<std::uint8_t> outbuf;
-  };
+  void erase_group(std::uint64_t gid) {
+    auto it = groups.find(gid);
+    if (it == groups.end()) return;
+    for (const Member& m : it->second.members) {
+      in_group.erase({m.conn_id, m.token});
+    }
+    groups.erase(it);
+  }
 
-  void io_loop() {
-    std::map<std::uint64_t, Conn> conns;
-    std::uint64_t next_conn_id = 1;
+  // Grants the next undone rank (skipping lost/forced members) or
+  // retires the group.  `outcome` is what the grantee is told; a lost
+  // member anywhere in the group upgrades it to kPeerLost.
+  void grant_next(std::uint64_t gid, GrantOutcome outcome) {
+    auto it = groups.find(gid);
+    if (it == groups.end()) return;
+    Group& g = it->second;
+    const bool any_lost = std::any_of(g.members.begin(), g.members.end(),
+                                      [](const Member& m) { return m.lost; });
+    if (any_lost && outcome == GrantOutcome::kOk) {
+      outcome = GrantOutcome::kPeerLost;
+    }
+    for (int r = g.granted + 1; r < static_cast<int>(g.members.size()); ++r) {
+      Member& m = g.members[static_cast<std::size_t>(r)];
+      if (m.done) continue;
+      g.granted = r;
+      g.grant_deadline = SteadyClock::now() + options.grant_cap;
+      Message grant;
+      grant.type = MsgType::kGrant;
+      grant.token = m.token;
+      grant.rank = r;
+      grant.flags = static_cast<std::uint8_t>(outcome);
+      send_to(m.conn_id, grant);
+      return;
+    }
+    erase_group(gid);
+  }
 
-    auto disconnect = [&](std::uint64_t id) {
-      auto it = conns.find(id);
-      if (it == conns.end()) return;
-      ::close(it->second.fd);
-      conns.erase(it);
-      events.send(Event{Event::Kind::kDisconnect, id, {}});
-    };
+  void form_group(std::vector<std::pair<int, Arrival>> ranked) {
+    const std::uint64_t gid = next_group_id++;
+    Group g;
+    g.members.resize(ranked.size());
+    for (const auto& [r, a] : ranked) {
+      Member& m = g.members[static_cast<std::size_t>(r)];
+      m.conn_id = a.conn_id;
+      m.token = a.token;
+      in_group[{a.conn_id, a.token}] = gid;
+      Message matched;
+      matched.type = MsgType::kMatched;
+      matched.token = a.token;
+      matched.a = gid;
+      matched.rank = r;
+      matched.arity = static_cast<std::int32_t>(ranked.size());
+      send_to(a.conn_id, matched);
+    }
+    groups.emplace(gid, std::move(g));
+    bump(&BrokerStats::matches);
+    grant_next(gid, GrantOutcome::kOk);
+  }
 
-    // Parses complete frames out of a connection's input buffer.
-    // False on a protocol error (caller disconnects).
-    auto drain_frames = [&](std::uint64_t id, Conn& conn) -> bool {
-      std::size_t offset = 0;
-      while (conn.inbuf.size() - offset >= 4) {
-        const std::uint8_t* p = conn.inbuf.data() + offset;
-        const std::uint32_t payload =
-            static_cast<std::uint32_t>(p[0]) |
-            (static_cast<std::uint32_t>(p[1]) << 8) |
-            (static_cast<std::uint32_t>(p[2]) << 16) |
-            (static_cast<std::uint32_t>(p[3]) << 24);
-        if (payload < kHeaderSize || payload > kMaxFrame) {
-          bump(&BrokerStats::protocol_errors);
-          return false;
-        }
-        if (conn.inbuf.size() - offset < 4 + payload) break;  // partial
-        std::optional<Message> msg = decode(p + 4, payload);
-        if (!msg) {
-          bump(&BrokerStats::protocol_errors);
-          return false;
-        }
-        events.send(Event{Event::Kind::kMessage, id, std::move(*msg)});
-        offset += 4 + payload;
-      }
-      if (offset > 0) {
-        conn.inbuf.erase(conn.inbuf.begin(),
-                         conn.inbuf.begin() +
-                             static_cast<std::ptrdiff_t>(offset));
-      }
-      return true;
-    };
+  void handle_arrive(std::uint64_t conn_id, const Message& msg) {
+    if (msg.arity < 2 || msg.arity > kMaxArity || msg.rank < 0 ||
+        msg.rank >= msg.arity || msg.name.empty() ||
+        msg.a > static_cast<std::uint64_t>(kMaxArriveTimeout.count())) {
+      bump(&BrokerStats::protocol_errors);
+      Message nak;
+      nak.type = MsgType::kCancelled;
+      nak.token = msg.token;
+      send_to(conn_id, nak);  // never leave the caller parked
+      return;
+    }
+    bump(&BrokerStats::arrivals);
+    Arrival arriving;
+    arriving.conn_id = conn_id;
+    arriving.token = msg.token;
+    arriving.rank = msg.rank;
+    arriving.arity = msg.arity;
+    arriving.deadline = SteadyClock::now() + std::chrono::milliseconds(msg.a);
 
-    auto flush_out = [&](std::uint64_t id, Conn& conn) -> bool {
-      while (!conn.outbuf.empty()) {
-        const ssize_t n =
-            ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
-        if (n > 0) {
-          conn.outbuf.erase(conn.outbuf.begin(),
-                            conn.outbuf.begin() + n);
+    std::vector<Arrival>& waiting = postponed[msg.name];
+
+    // One waiter per rank other than ours (a pair takes any peer,
+    // whatever its declared rank), earliest-postponed first.  The first
+    // pass prefers a peer from a *different* process — the reason the
+    // breakpoint is process-group scoped — the second takes any.  A
+    // waiter chosen in the first pass is not chosen again: its rank is
+    // taken, or (a pair) nothing more is needed.
+    const auto need = static_cast<std::size_t>(msg.arity - 1);
+    std::vector<std::size_t> chosen;
+    std::vector<char> rank_taken(static_cast<std::size_t>(msg.arity), 0);
+    rank_taken[static_cast<std::size_t>(arriving.rank)] = 1;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < waiting.size() && chosen.size() < need;
+           ++i) {
+        const Arrival& w = waiting[i];
+        const auto r = static_cast<std::size_t>(w.rank);
+        if (w.arity != msg.arity || (pass == 0 && w.conn_id == conn_id) ||
+            (msg.arity > 2 && rank_taken[r])) {
           continue;
         }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-        return false;  // peer gone mid-write
+        rank_taken[r] = 1;
+        chosen.push_back(i);
       }
-      (void)id;
-      return true;
-    };
+    }
+    if (chosen.size() < need) {
+      waiting.push_back(arriving);
+      return;
+    }
+    std::vector<std::pair<int, Arrival>> ranked;
+    // Erase from the back so earlier indices stay valid.
+    std::sort(chosen.begin(), chosen.end());
+    for (auto it = chosen.rbegin(); it != chosen.rend(); ++it) {
+      ranked.emplace_back(waiting[*it].rank, waiting[*it]);
+      waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+    // Effective ranks mirror the in-process engine: declared, except that
+    // a pair with equal declared ranks orders the postponed peer first.
+    int my_rank = arriving.rank;
+    if (ranked.front().first == my_rank) {
+      ranked.front().first = 0;
+      my_rank = 1;
+    }
+    ranked.emplace_back(my_rank, arriving);
+    form_group(std::move(ranked));
+  }
 
+  void handle_cancel(std::uint64_t conn_id, const Message& msg) {
+    for (auto& [name, waiting] : postponed) {
+      auto it = std::find_if(waiting.begin(), waiting.end(),
+                             [&](const Arrival& a) {
+                               return a.conn_id == conn_id &&
+                                      a.token == msg.token;
+                             });
+      if (it != waiting.end()) {
+        waiting.erase(it);
+        bump(&BrokerStats::cancellations);
+        Message ack;
+        ack.type = MsgType::kCancelled;
+        ack.token = msg.token;
+        send_to(conn_id, ack);
+        return;
+      }
+    }
+    // Already matched (or unknown): the grant path owns it now.
+  }
+
+  void handle_done(std::uint64_t conn_id, const Message& msg) {
+    auto it = in_group.find({conn_id, msg.token});
+    if (it == in_group.end()) return;  // duplicate / after force-advance
+    const std::uint64_t gid = it->second;
+    auto git = groups.find(gid);
+    if (git == groups.end()) return;
+    Group& g = git->second;
+    for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
+      Member& m = g.members[static_cast<std::size_t>(r)];
+      if (m.conn_id != conn_id || m.token != msg.token) continue;
+      if (m.done) return;
+      m.done = true;
+      if (r == g.granted) grant_next(gid, GrantOutcome::kOk);
+      return;
+    }
+  }
+
+  void handle_disconnect(std::uint64_t conn_id) {
+    for (auto& [name, waiting] : postponed) {
+      waiting.erase(std::remove_if(waiting.begin(), waiting.end(),
+                                   [&](const Arrival& a) {
+                                     return a.conn_id == conn_id;
+                                   }),
+                    waiting.end());
+    }
+    std::vector<std::uint64_t> to_advance;
+    for (auto& [gid, g] : groups) {
+      bool granted_lost = false;
+      for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
+        Member& m = g.members[static_cast<std::size_t>(r)];
+        if (m.conn_id != conn_id || m.done) continue;
+        m.done = true;
+        m.lost = true;
+        bump(&BrokerStats::peer_lost);
+        if (r == g.granted) granted_lost = true;
+      }
+      if (granted_lost) to_advance.push_back(gid);
+    }
+    for (std::uint64_t gid : to_advance) {
+      grant_next(gid, GrantOutcome::kPeerLost);
+    }
+  }
+
+  void handle(std::uint64_t conn_id, const Message& msg) {
+    switch (msg.type) {
+      case MsgType::kHello:
+        break;  // identity is informational (pid / engine tag)
+      case MsgType::kArrive:
+        handle_arrive(conn_id, msg);
+        break;
+      case MsgType::kCancel:
+        handle_cancel(conn_id, msg);
+        break;
+      case MsgType::kDone:
+        handle_done(conn_id, msg);
+        break;
+      default:
+        bump(&BrokerStats::protocol_errors);  // server-only type
+        break;
+    }
+  }
+
+  void run_timers() {
+    const auto now = SteadyClock::now();
+    for (auto& [name, waiting] : postponed) {
+      for (std::size_t i = 0; i < waiting.size();) {
+        if (waiting[i].deadline > now) {
+          ++i;
+          continue;
+        }
+        bump(&BrokerStats::timeouts);
+        Message out;
+        out.type = MsgType::kTimeout;
+        out.token = waiting[i].token;
+        send_to(waiting[i].conn_id, out);
+        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    std::vector<std::uint64_t> capped;
+    for (auto& [gid, g] : groups) {
+      if (g.granted >= 0 && g.grant_deadline <= now &&
+          !g.members[static_cast<std::size_t>(g.granted)].done) {
+        capped.push_back(gid);
+      }
+    }
+    for (std::uint64_t gid : capped) {
+      // The granted rank overran the cap (leaked guard / stalled
+      // process): advance past it so the group degrades to a delay.
+      Group& g = groups[gid];
+      g.members[static_cast<std::size_t>(g.granted)].done = true;
+      bump(&BrokerStats::forced_advances);
+      grant_next(gid, GrantOutcome::kCap);
+    }
+  }
+
+  /// poll()'s timeout: the nearest arrival or grant deadline, rounded up
+  /// to whole milliseconds; -1 (no timeout) when nothing is pending.
+  int poll_timeout_ms() const {
+    auto earliest = SteadyClock::time_point::max();
+    for (const auto& [name, waiting] : postponed) {
+      for (const Arrival& a : waiting) {
+        earliest = std::min(earliest, a.deadline);
+      }
+    }
+    for (const auto& [gid, g] : groups) {
+      if (g.granted >= 0) earliest = std::min(earliest, g.grant_deadline);
+    }
+    if (earliest == SteadyClock::time_point::max()) return -1;
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        earliest - SteadyClock::now());
+    return static_cast<int>(std::clamp<std::chrono::milliseconds::rep>(
+        wait.count(), 0, INT_MAX));
+  }
+
+  // ---- IO --------------------------------------------------------------------
+
+  // Handles every complete frame in a connection's input buffer, in
+  // arrival order.  False on a protocol error (caller disconnects).
+  bool drain_frames(std::uint64_t id, Conn& conn) {
+    std::size_t offset = 0;
+    while (conn.inbuf.size() - offset >= 4) {
+      const std::uint8_t* p = conn.inbuf.data() + offset;
+      const std::uint32_t payload = static_cast<std::uint32_t>(p[0]) |
+                                    (static_cast<std::uint32_t>(p[1]) << 8) |
+                                    (static_cast<std::uint32_t>(p[2]) << 16) |
+                                    (static_cast<std::uint32_t>(p[3]) << 24);
+      if (payload < kHeaderSize || payload > kMaxFrame) {
+        bump(&BrokerStats::protocol_errors);
+        return false;
+      }
+      if (conn.inbuf.size() - offset < 4 + payload) break;  // partial
+      std::optional<Message> msg = decode(p + 4, payload);
+      if (!msg) {
+        bump(&BrokerStats::protocol_errors);
+        return false;
+      }
+      handle(id, *msg);
+      offset += 4 + payload;
+    }
+    if (offset > 0) {
+      conn.inbuf.erase(conn.inbuf.begin(),
+                       conn.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
+    }
+    return true;
+  }
+
+  // Writes as much buffered output as the socket takes.  False when the
+  // peer is gone mid-write.
+  static bool flush_out(Conn& conn) {
+    while (!conn.outbuf.empty()) {
+      const ssize_t n = ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
+      if (n > 0) {
+        conn.outbuf.erase(conn.outbuf.begin(), conn.outbuf.begin() + n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+      return false;
+    }
+    return true;
+  }
+
+  void disconnect(std::uint64_t id) {
+    auto it = conns.find(id);
+    if (it == conns.end()) return;
+    ::close(it->second.fd);
+    conns.erase(it);
+    handle_disconnect(id);
+  }
+
+  // The broker's one thread: poll() over the listen socket, the self-pipe
+  // and every connection; each round handles the frames read, then the
+  // expired deadlines, then writes every connection's pending output.
+  void io_loop() {
     std::vector<pollfd> fds;
     std::vector<std::uint64_t> fd_ids;  // parallel to fds; 0 = not a conn
+    std::vector<std::uint64_t> dead;
 
     while (!stopping.load(std::memory_order_acquire)) {
       fds.clear();
@@ -206,7 +455,7 @@ struct Broker::Impl {
         fd_ids.push_back(id);
       }
 
-      if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (::poll(fds.data(), fds.size(), poll_timeout_ms()) < 0) {
         if (errno == EINTR) continue;
         break;  // unrecoverable poll failure
       }
@@ -215,23 +464,6 @@ struct Broker::Impl {
       if (fds[1].revents & POLLIN) {
         char buf[64];
         while (::read(wake_r, buf, sizeof(buf)) > 0) {
-        }
-      }
-
-      // Match-thread output: append to connection buffers, then write
-      // eagerly (POLLOUT is only needed for the EAGAIN tail).
-      {
-        std::vector<std::pair<std::uint64_t, Message>> out;
-        {
-          std::scoped_lock lock(out_mu);
-          out.swap(pending_out);
-        }
-        for (auto& [id, msg] : out) {
-          auto it = conns.find(id);
-          if (it == conns.end()) continue;  // recipient already gone
-          const std::vector<std::uint8_t> frame = encode(msg);
-          it->second.outbuf.insert(it->second.outbuf.end(), frame.begin(),
-                                   frame.end());
         }
       }
 
@@ -251,345 +483,52 @@ struct Broker::Impl {
         }
       }
 
-      std::vector<std::uint64_t> dead;
+      dead.clear();
       for (std::size_t i = 2; i < fds.size(); ++i) {
+        if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
         const std::uint64_t id = fd_ids[i];
         auto it = conns.find(id);
         if (it == conns.end()) continue;
         Conn& conn = it->second;
-        bool alive = true;
-        if (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-          bool eof = false;
-          for (;;) {
-            std::uint8_t buf[4096];
-            const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-            if (n > 0) {
-              conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
-              continue;
-            }
-            if (n < 0 && errno == EINTR) continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            eof = true;  // EOF or hard error
-            break;
+        bool eof = false;
+        for (;;) {
+          std::uint8_t buf[4096];
+          const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
+          if (n > 0) {
+            conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
+            continue;
           }
-          // Drain frames received *before* the EOF even when both land
-          // in one poll round: a client that sends its final DONE and
-          // immediately closes must complete cleanly, not count as a
-          // lost peer (the disconnect event follows the drained frames).
-          alive = drain_frames(id, conn) && !eof;
+          if (n < 0 && errno == EINTR) continue;
+          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+          eof = true;  // EOF or hard error
+          break;
         }
-        if (alive && !conn.outbuf.empty()) alive = flush_out(id, conn);
-        if (!alive) dead.push_back(id);
+        // Handle frames received *before* the EOF even when both land in
+        // one round: a client that sends its final DONE and immediately
+        // closes must complete cleanly, not count as a lost peer (its
+        // disconnect is handled after its frames).
+        if (!drain_frames(id, conn) || eof) dead.push_back(id);
+      }
+      for (std::uint64_t id : dead) disconnect(id);
+
+      run_timers();
+
+      // Eager writes; POLLOUT is only needed for an EAGAIN tail.  Output
+      // queued by a disconnect here is written next round (poll returns
+      // at once for a connection with pending output).
+      dead.clear();
+      for (auto& [id, conn] : conns) {
+        if (!flush_out(conn)) dead.push_back(id);
       }
       for (std::uint64_t id : dead) disconnect(id);
     }
 
-    // Shutdown: every client sees EOF; closing the event channel is the
-    // match thread's stop signal (it drains queued events first).
+    // Shutdown: every client sees EOF; the protocol state goes with them.
     for (auto& [id, conn] : conns) ::close(conn.fd);
     conns.clear();
-    events.close();
-  }
-
-  // ---- match thread ------------------------------------------------------
-
-  void match_loop() {
-    std::unordered_map<std::string, std::vector<Arrival>> postponed;
-    std::unordered_map<std::uint64_t, Group> groups;
-    // (conn_id, token) -> group id, for DONE routing.
-    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> in_group;
-    std::uint64_t next_group_id = 1;
-    std::uint64_t next_seq = 1;
-
-    auto erase_group = [&](std::uint64_t gid) {
-      auto it = groups.find(gid);
-      if (it == groups.end()) return;
-      for (const Member& m : it->second.members) {
-        in_group.erase({m.conn_id, m.token});
-      }
-      groups.erase(it);
-    };
-
-    // Grants the next undone rank (skipping lost/forced members) or
-    // retires the group.  `outcome` is what the grantee is told; a lost
-    // member anywhere in the group upgrades it to kPeerLost.
-    auto grant_next = [&](std::uint64_t gid, GrantOutcome outcome) {
-      auto it = groups.find(gid);
-      if (it == groups.end()) return;
-      Group& g = it->second;
-      const bool any_lost = std::any_of(
-          g.members.begin(), g.members.end(),
-          [](const Member& m) { return m.lost; });
-      if (any_lost && outcome == GrantOutcome::kOk) {
-        outcome = GrantOutcome::kPeerLost;
-      }
-      for (int r = g.granted + 1; r < static_cast<int>(g.members.size());
-           ++r) {
-        Member& m = g.members[static_cast<std::size_t>(r)];
-        if (m.done) continue;
-        g.granted = r;
-        g.grant_deadline = SteadyClock::now() + options.grant_cap;
-        Message grant;
-        grant.type = MsgType::kGrant;
-        grant.token = m.token;
-        grant.rank = r;
-        grant.flags = static_cast<std::uint8_t>(outcome);
-        send_to(m.conn_id, grant);
-        return;
-      }
-      erase_group(gid);
-    };
-
-    auto form_group = [&](const std::string& name,
-                          std::vector<std::pair<int, Arrival>> ranked) {
-      const std::uint64_t gid = next_group_id++;
-      Group g;
-      g.name = name;
-      g.members.resize(ranked.size());
-      for (const auto& [r, a] : ranked) {
-        Member& m = g.members[static_cast<std::size_t>(r)];
-        m.conn_id = a.conn_id;
-        m.token = a.token;
-        in_group[{a.conn_id, a.token}] = gid;
-        Message matched;
-        matched.type = MsgType::kMatched;
-        matched.token = a.token;
-        matched.a = gid;
-        matched.rank = r;
-        matched.arity = static_cast<std::int32_t>(ranked.size());
-        send_to(a.conn_id, matched);
-      }
-      groups.emplace(gid, std::move(g));
-      bump(&BrokerStats::matches);
-      grant_next(gid, GrantOutcome::kOk);
-    };
-
-    auto handle_arrive = [&](std::uint64_t conn_id, const Message& msg) {
-      if (msg.arity < 2 || msg.arity > kMaxArity || msg.rank < 0 ||
-          msg.rank >= msg.arity || msg.name.empty()) {
-        bump(&BrokerStats::protocol_errors);
-        Message nak;
-        nak.type = MsgType::kCancelled;
-        nak.token = msg.token;
-        send_to(conn_id, nak);  // never leave the caller parked
-        return;
-      }
-      bump(&BrokerStats::arrivals);
-      Arrival arriving;
-      arriving.conn_id = conn_id;
-      arriving.token = msg.token;
-      arriving.rank = msg.rank;
-      arriving.arity = msg.arity;
-      arriving.scoped = (msg.flags & kFlagScoped) != 0;
-      arriving.deadline =
-          SteadyClock::now() + std::chrono::milliseconds(msg.a);
-      arriving.seq = next_seq++;
-
-      std::vector<Arrival>& waiting = postponed[msg.name];
-
-      if (msg.arity == 2) {
-        // Prefer a peer from a *different* process (the reason the
-        // breakpoint is process-group scoped), fall back to any other
-        // postponement; earliest-postponed wins ties.
-        auto pick = [&](bool other_conn_only) -> std::size_t {
-          for (std::size_t i = 0; i < waiting.size(); ++i) {
-            if (waiting[i].arity != 2) continue;
-            if (other_conn_only && waiting[i].conn_id == conn_id) continue;
-            return i;
-          }
-          return waiting.size();
-        };
-        std::size_t idx = pick(true);
-        if (idx == waiting.size()) idx = pick(false);
-        if (idx == waiting.size()) {
-          waiting.push_back(arriving);
-          return;
-        }
-        Arrival peer = waiting[idx];
-        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(idx));
-        // Effective ranks mirror the in-process engine: declared if
-        // distinct, else the earlier-postponed thread goes first.
-        int peer_rank = peer.rank;
-        int my_rank = arriving.rank;
-        if (peer_rank == my_rank) {
-          peer_rank = 0;
-          my_rank = 1;
-        }
-        form_group(msg.name, {{peer_rank, peer}, {my_rank, arriving}});
-        return;
-      }
-
-      // k-ary: one waiter per rank other than ours, greedy with the
-      // different-process preference applied per rank.
-      std::vector<std::size_t> chosen;
-      std::vector<char> rank_taken(static_cast<std::size_t>(msg.arity), 0);
-      rank_taken[static_cast<std::size_t>(arriving.rank)] = 1;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t i = 0; i < waiting.size(); ++i) {
-          const Arrival& w = waiting[i];
-          if (w.arity != msg.arity) continue;
-          if (w.rank < 0 || w.rank >= msg.arity) continue;
-          if (rank_taken[static_cast<std::size_t>(w.rank)]) continue;
-          if (pass == 0 && w.conn_id == conn_id) continue;
-          if (std::find(chosen.begin(), chosen.end(), i) != chosen.end()) {
-            continue;
-          }
-          rank_taken[static_cast<std::size_t>(w.rank)] = 1;
-          chosen.push_back(i);
-        }
-      }
-      if (chosen.size() + 1 < static_cast<std::size_t>(msg.arity)) {
-        waiting.push_back(arriving);
-        return;
-      }
-      std::vector<std::pair<int, Arrival>> ranked;
-      ranked.emplace_back(arriving.rank, arriving);
-      // Erase from the back so earlier indices stay valid.
-      std::sort(chosen.begin(), chosen.end());
-      for (auto it = chosen.rbegin(); it != chosen.rend(); ++it) {
-        ranked.emplace_back(waiting[*it].rank, waiting[*it]);
-        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(*it));
-      }
-      form_group(msg.name, std::move(ranked));
-    };
-
-    auto handle_cancel = [&](std::uint64_t conn_id, const Message& msg) {
-      for (auto& [name, waiting] : postponed) {
-        auto it = std::find_if(waiting.begin(), waiting.end(),
-                               [&](const Arrival& a) {
-                                 return a.conn_id == conn_id &&
-                                        a.token == msg.token;
-                               });
-        if (it != waiting.end()) {
-          waiting.erase(it);
-          bump(&BrokerStats::cancellations);
-          Message ack;
-          ack.type = MsgType::kCancelled;
-          ack.token = msg.token;
-          send_to(conn_id, ack);
-          return;
-        }
-      }
-      // Already matched (or unknown): the grant path owns it now.
-    };
-
-    auto handle_done = [&](std::uint64_t conn_id, const Message& msg) {
-      auto it = in_group.find({conn_id, msg.token});
-      if (it == in_group.end()) return;  // duplicate / after force-advance
-      const std::uint64_t gid = it->second;
-      auto git = groups.find(gid);
-      if (git == groups.end()) return;
-      Group& g = git->second;
-      for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
-        Member& m = g.members[static_cast<std::size_t>(r)];
-        if (m.conn_id != conn_id || m.token != msg.token) continue;
-        if (m.done) return;
-        m.done = true;
-        if (r == g.granted) grant_next(gid, GrantOutcome::kOk);
-        return;
-      }
-    };
-
-    auto handle_disconnect = [&](std::uint64_t conn_id) {
-      for (auto& [name, waiting] : postponed) {
-        waiting.erase(std::remove_if(waiting.begin(), waiting.end(),
-                                     [&](const Arrival& a) {
-                                       return a.conn_id == conn_id;
-                                     }),
-                      waiting.end());
-      }
-      std::vector<std::uint64_t> to_advance;
-      for (auto& [gid, g] : groups) {
-        bool granted_lost = false;
-        for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
-          Member& m = g.members[static_cast<std::size_t>(r)];
-          if (m.conn_id != conn_id || m.done) continue;
-          m.done = true;
-          m.lost = true;
-          bump(&BrokerStats::peer_lost);
-          if (r == g.granted) granted_lost = true;
-        }
-        if (granted_lost) to_advance.push_back(gid);
-      }
-      for (std::uint64_t gid : to_advance) {
-        grant_next(gid, GrantOutcome::kPeerLost);
-      }
-    };
-
-    auto run_timers = [&] {
-      const auto now = SteadyClock::now();
-      for (auto& [name, waiting] : postponed) {
-        for (std::size_t i = 0; i < waiting.size();) {
-          if (waiting[i].deadline > now) {
-            ++i;
-            continue;
-          }
-          bump(&BrokerStats::timeouts);
-          Message out;
-          out.type = MsgType::kTimeout;
-          out.token = waiting[i].token;
-          send_to(waiting[i].conn_id, out);
-          waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(i));
-        }
-      }
-      std::vector<std::uint64_t> capped;
-      for (auto& [gid, g] : groups) {
-        if (g.granted >= 0 && g.grant_deadline <= now &&
-            !g.members[static_cast<std::size_t>(g.granted)].done) {
-          capped.push_back(gid);
-        }
-      }
-      for (std::uint64_t gid : capped) {
-        // The granted rank overran the cap (leaked guard / stalled
-        // process): advance past it so the group degrades to a delay.
-        Group& g = groups[gid];
-        g.members[static_cast<std::size_t>(g.granted)].done = true;
-        bump(&BrokerStats::forced_advances);
-        grant_next(gid, GrantOutcome::kCap);
-      }
-    };
-
-    auto next_wake = [&]() -> std::chrono::milliseconds {
-      auto earliest = SteadyClock::now() + kIdleTick;
-      for (const auto& [name, waiting] : postponed) {
-        for (const Arrival& a : waiting) {
-          earliest = std::min(earliest, a.deadline);
-        }
-      }
-      for (const auto& [gid, g] : groups) {
-        if (g.granted >= 0) earliest = std::min(earliest, g.grant_deadline);
-      }
-      const auto delta = std::chrono::duration_cast<std::chrono::milliseconds>(
-          earliest - SteadyClock::now());
-      return std::max(std::chrono::milliseconds(1), delta);
-    };
-
-    for (;;) {
-      std::optional<Event> ev = events.receive_for(next_wake());
-      if (!ev) {
-        if (events.closed()) break;  // closed and drained: shutdown
-      } else if (ev->kind == Event::Kind::kDisconnect) {
-        handle_disconnect(ev->conn_id);
-      } else {
-        switch (ev->msg.type) {
-          case MsgType::kHello:
-            break;  // identity is informational (pid / engine tag)
-          case MsgType::kArrive:
-            handle_arrive(ev->conn_id, ev->msg);
-            break;
-          case MsgType::kCancel:
-            handle_cancel(ev->conn_id, ev->msg);
-            break;
-          case MsgType::kDone:
-            handle_done(ev->conn_id, ev->msg);
-            break;
-          default:
-            bump(&BrokerStats::protocol_errors);  // server-only type
-            break;
-        }
-      }
-      run_timers();
-    }
+    postponed.clear();
+    groups.clear();
+    in_group.clear();
   }
 };
 
@@ -628,7 +567,6 @@ bool Broker::start() {
   impl_->wake_r = pipe_fds[0];
   impl_->wake_w = pipe_fds[1];
   impl_->io_thread = std::thread([this] { impl_->io_loop(); });
-  impl_->match_thread = std::thread([this] { impl_->match_loop(); });
   impl_->started = true;
   return true;
 }
@@ -638,8 +576,7 @@ void Broker::stop() {
   impl_->started = false;
   impl_->stopping.store(true, std::memory_order_release);
   impl_->wake();
-  impl_->io_thread.join();     // closes conns, then closes the channel...
-  impl_->match_thread.join();  // ...which drains and stops the matcher
+  impl_->io_thread.join();  // closes every connection on its way out
   ::close(impl_->listen_fd);
   ::close(impl_->wake_r);
   ::close(impl_->wake_w);

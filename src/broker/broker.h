@@ -13,19 +13,13 @@
 // arrivals per name, pairs complementary ones, and releases the matched
 // group in rank order (GRANT r+1 follows DONE r).
 //
-// Two threads:
-//
-//   * the IO thread owns every fd.  poll() over the listen socket, a
-//     self-pipe (for wakeups from stop() and the match thread), and all
-//     client connections; nonblocking reads assemble frames into
-//     events, nonblocking writes drain per-connection output buffers.
-//     EOF on a connection becomes a kDisconnected event.
-//
-//   * the match thread owns the protocol state (postponed arrivals,
-//     matched groups, deadlines).  It consumes events from a bounded
-//     rt::Channel — whose close() is the shutdown signal, the exact
-//     close semantics tests/test_channel.cc pins down — and emits
-//     replies back through the IO thread.
+// One thread, the IO thread, owns every fd and all protocol state
+// (postponed arrivals, matched groups, deadlines).  It poll()s the listen
+// socket, a self-pipe (so stop() can wake it) and every client
+// connection.  Each round it handles the frames it read inline, in
+// arrival order — a connection's EOF only after its buffered frames —
+// then fires expired deadlines, then writes every connection's pending
+// output.  poll()'s timeout is the nearest deadline.
 //
 // Distributed failure modes handled here, not by callers:
 //
@@ -78,11 +72,11 @@ class Broker {
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
 
-  /// Binds, listens and starts the IO + match threads.  False if the
-  /// socket could not be created (path too long, bind failure).
+  /// Binds, listens and starts the IO thread.  False if the socket
+  /// could not be created (path too long, bind failure).
   bool start();
 
-  /// Stops both threads, closes every connection (clients see EOF) and
+  /// Stops the IO thread, closes every connection (clients see EOF) and
   /// unlinks the socket.  Idempotent; also run by the destructor.
   void stop();
 

@@ -309,56 +309,130 @@ std::vector<const internal::NameRecord*> Engine::records_snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: rendezvous
+// Engine: the hit path (postpone, match, release in rank order — §3),
+// shared by trigger, trigger_pattern and, for its accounting,
+// trigger_remote
 // ---------------------------------------------------------------------------
 
-bool Engine::try_match(internal::Slot& slot, BTrigger& bt, int rank, int arity,
-                       bool scoped, std::shared_ptr<internal::GroupState>& group,
-                       int& out_rank, HitInfo& info) {
-  const rt::ThreadId my_tid = rt::this_thread_id();
+namespace {
 
-  // The selection algorithm lives in core/pattern.cc now (the classic
-  // rendezvous is the degenerate single-step pattern); this adapter
-  // keeps the slot-side effects: the hits counter, the per-rank obs
-  // events, and the wake-up.
-  std::vector<internal::Waiter*> chosen;  // one per needed rank
-  if (!PatternMatcher::match_rendezvous(slot.postponed, bt, rank, arity,
-                                        scoped, my_tid, record_for(bt)->id,
-                                        group, out_rank, info, chosen)) {
-    return false;
+/// Parks `waiter` on `slot` (mutex held through `lock`): pushes it,
+/// counts the postponement, waits up to `bound` until it is matched,
+/// cancelled or resumed, records the wait and unlinks it again.  A
+/// matched waiter counts its participation here; `matched` wins over a
+/// racing cancel.
+void park(internal::Slot& slot, std::unique_lock<std::mutex>& lock,
+          internal::Waiter& waiter, std::uint32_t name_id,
+          rt::Duration bound) {
+  slot.postponed.push_back(&waiter);
+  slot.cold.postponed += 1;
+  CBP_OBS_EVENT(obs::EventKind::kPostpone, name_id, waiter.rank);
+
+  rt::Stopwatch wait_clock;  // follows the active clock
+  rt::clock_wait_for(slot.cv, lock, bound, [&] {
+    return waiter.matched || waiter.cancelled || waiter.resumed;
+  });
+  const std::int64_t wait_us = wait_clock.elapsed_us();
+  slot.cold.total_wait_us += wait_us;
+  slot.cold.wait_hist.record(
+      wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
+
+  auto it = std::find(slot.postponed.begin(), slot.postponed.end(), &waiter);
+  if (it != slot.postponed.end()) slot.postponed.erase(it);
+  if (waiter.matched) slot.cold.participants += 1;
+}
+
+/// Counts a postponement that ended without a hit: cancelled, or timed
+/// out.  Called with the slot mutex held.
+void count_miss(internal::Slot& slot, std::uint32_t name_id, int rank,
+                bool cancelled) {
+  if (cancelled) {
+    slot.cold.cancelled += 1;
+    CBP_OBS_EVENT(obs::EventKind::kCancel, name_id, rank);
+  } else {
+    slot.cold.timeouts += 1;
+    CBP_OBS_EVENT(obs::EventKind::kTimeout, name_id, rank);
   }
+}
 
+/// Counts a hit the calling thread completed, as `rank` of `arity`
+/// (slot mutex held): `hits`, the caller's participation, one kMatch per
+/// rank, then wakes the `matched` waiters.
+void count_hit(internal::Slot& slot, std::uint32_t name_id, int rank,
+               int arity, const std::vector<internal::Waiter*>& matched) {
   // Incremented under the slot mutex (match exclusivity), loaded
-  // lock-free by trigger()'s bound pre-screen.
+  // lock-free by admit()'s bound pre-screen.
   slot.hot.hits.fetch_add(1, std::memory_order_relaxed);
+  slot.cold.participants += 1;
   if (CBP_OBS_ENABLED()) {
-    // One kMatch per rank, stamped by the matcher with each
-    // participant's tid (the waiters are asleep; their postponement
-    // spans close against these events).  detail carries the arity.
-    // The k events describe one instant, so one clock read stamps the
-    // whole run (Trace::stamp; under a virtual clock each event still
-    // gets its own unique deterministic stamp).
-    const auto detail = static_cast<std::uint16_t>(info.arity);
+    // One kMatch per rank, stamped with each participant's tid (the
+    // waiters are asleep; their postponement spans close against these
+    // events).  detail carries the arity.  The k events describe one
+    // instant, so one clock read stamps the whole run (Trace::stamp;
+    // under a virtual clock each event still gets its own unique
+    // deterministic stamp).
+    const auto detail = static_cast<std::uint16_t>(arity);
     const std::uint64_t stamp = obs::Trace::stamp();
-    obs::Trace::record_for_at(stamp, my_tid, obs::EventKind::kMatch,
-                              group->name_id, out_rank, detail);
-    for (const internal::Waiter* w : chosen) {
+    obs::Trace::record_for_at(stamp, rt::this_thread_id(),
+                              obs::EventKind::kMatch, name_id, rank, detail);
+    for (const internal::Waiter* w : matched) {
       obs::Trace::record_for_at(stamp, w->tid, obs::EventKind::kMatch,
-                                group->name_id, w->matched_rank, detail);
+                                name_id, w->matched_rank, detail);
     }
   }
   rt::clock_notify_all(slot.cv);
-  return true;
 }
 
-void Engine::await_turn(internal::GroupState& group, int rank,
-                        bool scoped) const {
-  // Protocol body in core/pattern.cc; this engine contributes only its
-  // clock-adjusted durations.
-  PatternMatcher::await_turn(group, rank, scoped,
+}  // namespace
+
+void Engine::report_hit(const HitInfo& info) {
+  std::function<void(const HitInfo&)> observer;
+  bool verbose = false;
+  {
+    std::scoped_lock lock(observer_mu_);
+    observer = observer_;
+    verbose = verbose_;
+  }
+  if (verbose) {
+    // One formatted string, one stream insertion: concurrent hits used
+    // to interleave their three operands mid-line on stderr.
+    std::string line;
+    line.reserve(info.description.size() + info.name.size() + 32);
+    line += "[cbp] hit: ";
+    line += info.description;
+    line += " (breakpoint '";
+    line += info.name;
+    line += "')\n";
+    std::cerr << line;
+  }
+  if (observer) observer(info);
+}
+
+TriggerResult Engine::release(internal::Slot& slot,
+                              std::shared_ptr<internal::GroupState> group,
+                              int rank, bool scoped) {
+  PatternMatcher::await_turn(*group, rank, scoped,
                              scaled(settings_.order_delay()),
                              scaled(settings_.guard_wait_cap()));
+  CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, rank);
+  {
+    // Ordering latency: group creation (match) to this rank's release.
+    const auto order_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              rt::clock_now() - group->match_time)
+                              .count();
+    std::scoped_lock lock(slot.mu);
+    slot.cold.order_hist.record(
+        order_us > 0 ? static_cast<std::uint64_t>(order_us) : 0);
+  }
+  TriggerResult result;
+  result.hit = true;
+  if (scoped) result.guard = OrderingGuard(std::move(group), rank);
+  return result;
 }
+
+// ---------------------------------------------------------------------------
+// Engine: admission and dispatch
+// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -490,98 +564,37 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
     }
   }
 
-  internal::Slot* slot = record->slot.get();
+  internal::Slot& slot = *record->slot;
+  std::unique_lock lock(slot.mu);
+  if (spent(*record, bt, entry)) return {};  // the exact re-check
+
   std::shared_ptr<internal::GroupState> group;
   int my_rank = rank;
   HitInfo info;
-  bool fire_observer = false;
-
-  {
-    std::unique_lock lock(slot->mu);
-    if (spent(*record, bt, entry)) return {};  // the exact re-check
-
-    if (try_match(*slot, bt, rank, arity, scoped, group, my_rank, info)) {
-      fire_observer = true;  // last-arriving participant reports the hit
-    } else {
-      internal::Waiter waiter;
-      waiter.trigger = &bt;
-      waiter.tid = rt::this_thread_id();
-      waiter.rank = rank;
-      waiter.arity = arity;
-      waiter.scoped = scoped;
-      slot->postponed.push_back(&waiter);
-      slot->cold.postponed += 1;
-      CBP_OBS_EVENT(obs::EventKind::kPostpone, record->id, rank);
-
-      const auto scaled_timeout = scaled(timeout);
-      rt::Stopwatch wait_clock;  // follows the active clock
-      rt::clock_wait_for(slot->cv, lock, scaled_timeout,
-                         [&] { return waiter.matched || waiter.cancelled; });
-      const std::int64_t wait_us = wait_clock.elapsed_us();
-      slot->cold.total_wait_us += wait_us;
-      slot->cold.wait_hist.record(
-          wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
-
-      auto it =
-          std::find(slot->postponed.begin(), slot->postponed.end(), &waiter);
-      if (it != slot->postponed.end()) slot->postponed.erase(it);
-
-      if (!waiter.matched) {
-        if (waiter.cancelled) {
-          slot->cold.cancelled += 1;
-          CBP_OBS_EVENT(obs::EventKind::kCancel, record->id, rank);
-        } else {
-          slot->cold.timeouts += 1;
-          CBP_OBS_EVENT(obs::EventKind::kTimeout, record->id, rank);
-        }
-        return {};
-      }
-      group = waiter.group;
-      my_rank = waiter.matched_rank;
-    }
-    slot->cold.participants += 1;
+  std::vector<internal::Waiter*> chosen;  // one per other rank
+  if (PatternMatcher::match_rendezvous(slot.postponed, bt, rank, arity, scoped,
+                                       rt::this_thread_id(), record->id, group,
+                                       my_rank, info, chosen)) {
+    // The last-arriving participant counts and reports the hit.
+    count_hit(slot, record->id, my_rank, arity, chosen);
+    lock.unlock();
+    report_hit(info);
+    return release(slot, std::move(group), my_rank, scoped);
   }
 
-  if (fire_observer) {
-    std::function<void(const HitInfo&)> observer;
-    bool verbose = false;
-    {
-      std::scoped_lock lock(observer_mu_);
-      observer = observer_;
-      verbose = verbose_;
-    }
-    if (verbose) {
-      // One formatted string, one stream insertion: concurrent hits used
-      // to interleave their three operands mid-line on stderr.
-      std::string line;
-      line.reserve(info.description.size() + info.name.size() + 32);
-      line += "[cbp] hit: ";
-      line += info.description;
-      line += " (breakpoint '";
-      line += info.name;
-      line += "')\n";
-      std::cerr << line;
-    }
-    if (observer) observer(info);
+  internal::Waiter waiter;
+  waiter.trigger = &bt;
+  waiter.tid = rt::this_thread_id();
+  waiter.rank = rank;
+  waiter.arity = arity;
+  waiter.scoped = scoped;
+  park(slot, lock, waiter, record->id, scaled(timeout));
+  if (!waiter.matched) {
+    count_miss(slot, record->id, rank, waiter.cancelled);
+    return {};
   }
-
-  await_turn(*group, my_rank, scoped);
-  CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, my_rank);
-
-  {
-    // Ordering latency: group creation (match) to this rank's release.
-    const auto order_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              rt::clock_now() - group->match_time)
-                              .count();
-    std::scoped_lock lock(slot->mu);
-    slot->cold.order_hist.record(
-        order_us > 0 ? static_cast<std::uint64_t>(order_us) : 0);
-  }
-
-  TriggerResult result;
-  result.hit = true;
-  if (scoped) result.guard = OrderingGuard(group, my_rank);
-  return result;
+  lock.unlock();
+  return release(slot, waiter.group, waiter.matched_rank, scoped);
 }
 
 TriggerResult Engine::trigger_site(BTrigger& bt, std::string_view site,
@@ -614,196 +627,106 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
   // (DESIGN.md §5i).
   if (!admit(record, bt, &entry)) return {};
 
-  internal::Slot* slot = record.slot.get();
-  std::shared_ptr<internal::GroupState> group;
-  int my_rank = -1;
-  HitInfo info;
-  bool fire_observer = false;
+  internal::Slot& slot = *record.slot;
+  std::unique_lock lock(slot.mu);
+  if (spent(record, bt, &entry)) return {};  // the exact re-check
+  // (Re)build the matcher when the installed entry changed: new spec
+  // generations have new entry addresses, so pointer identity is the
+  // epoch — the cold_bounded idiom.
+  if (slot.matcher_entry != &entry) {
+    slot.matcher = std::make_unique<PatternMatcher>(entry.pattern, record.id);
+    slot.matcher_entry = &entry;
+  }
 
-  {
-    std::unique_lock lock(slot->mu);
-    if (spent(record, bt, &entry)) return {};  // the exact re-check
-    // (Re)build the matcher when the installed entry changed: new spec
-    // generations have new entry addresses, so pointer identity is the
-    // epoch — the cold_bounded idiom.
-    if (slot->matcher_entry != &entry) {
-      slot->matcher = std::make_unique<PatternMatcher>(entry.pattern,
-                                                       record.id);
-      slot->matcher_entry = &entry;
+  internal::Waiter waiter;
+  waiter.trigger = &bt;
+  waiter.tid = rt::this_thread_id();
+  waiter.rank = site;
+  waiter.arity = 0;  // pattern waiter: invisible to match_rendezvous
+  waiter.scoped = scoped;
+
+  PatternMatcher::Outcome out =
+      slot.matcher->on_event(site, waiter.tid, scoped, bt, &waiter);
+
+  for (const PatternMatcher::Outcome::Advance& a : out.advances) {
+    slot.cold.pattern_partials += 1;
+    if (CBP_OBS_ENABLED()) {
+      obs::Trace::record_for(a.tid, obs::EventKind::kPatternAdvance, record.id,
+                             a.site, static_cast<std::uint16_t>(a.progress));
     }
-
-    internal::Waiter waiter;
-    waiter.trigger = &bt;
-    waiter.tid = rt::this_thread_id();
-    waiter.rank = site;
-    waiter.arity = 0;  // pattern waiter: invisible to match_rendezvous
-    waiter.scoped = scoped;
-
-    PatternMatcher::Outcome out =
-        slot->matcher->on_event(site, waiter.tid, scoped, bt, &waiter);
-
-    for (const PatternMatcher::Outcome::Advance& a : out.advances) {
-      slot->cold.pattern_partials += 1;
-      if (CBP_OBS_ENABLED()) {
-        obs::Trace::record_for(a.tid, obs::EventKind::kPatternAdvance,
-                               record.id, a.site,
-                               static_cast<std::uint16_t>(a.progress));
-      }
+  }
+  for (int progress : out.aborted) {
+    slot.cold.pattern_aborts += 1;
+    if (CBP_OBS_ENABLED()) {
+      obs::Trace::record(obs::EventKind::kPatternAbort, record.id, site,
+                         static_cast<std::uint16_t>(progress));
     }
-    for (int progress : out.aborted) {
-      slot->cold.pattern_aborts += 1;
+  }
+  if (!out.resumed.empty()) rt::clock_notify_all(slot.cv);
+
+  switch (out.kind) {
+    case PatternMatcher::Outcome::Kind::kNoMatch:
+      slot.cold.pattern_rejects += 1;
+      return {};
+    case PatternMatcher::Outcome::Kind::kRecorded:
+      // Event consumed, thread runs on: its pause comes at its last
+      // pattern event; the advance above is the telemetry record.
+      return {};
+    case PatternMatcher::Outcome::Kind::kHit:
+      count_hit(slot, record.id, out.rank, out.info.arity, out.matched);
+      lock.unlock();
+      report_hit(out.info);
+      return release(slot, std::move(out.group), out.rank, scoped);
+    case PatternMatcher::Outcome::Kind::kPark:
+      break;
+  }
+
+  park(slot, lock, waiter, record.id, scaled(timeout));
+  if (waiter.matched) {
+    lock.unlock();
+    return release(slot, waiter.group, waiter.matched_rank, scoped);
+  }
+  if (waiter.resumed) {
+    // Consumed mid-pattern (the run needs this thread later) or
+    // orphaned by a hit that completed without this event — either
+    // way: continue, no hit.
+    return {};
+  }
+  // Timed out or cancelled: this thread's park is over, and the partial
+  // match it anchored is dead — abort the whole run first, so the trace
+  // reads kPatternAbort before the timeout or cancel.
+  if (slot.matcher != nullptr) {
+    PatternMatcher::DetachResult detached =
+        slot.matcher->detach(waiter.run, &waiter);
+    if (detached.aborted) {
+      slot.cold.pattern_aborts += 1;
       if (CBP_OBS_ENABLED()) {
         obs::Trace::record(obs::EventKind::kPatternAbort, record.id, site,
-                           static_cast<std::uint16_t>(progress));
+                           static_cast<std::uint16_t>(detached.progress));
       }
-    }
-    const bool woke_resumed = !out.resumed.empty();
-
-    switch (out.kind) {
-      case PatternMatcher::Outcome::Kind::kNoMatch:
-        slot->cold.pattern_rejects += 1;
-        if (woke_resumed) rt::clock_notify_all(slot->cv);
-        return {};
-      case PatternMatcher::Outcome::Kind::kRecorded:
-        // Event consumed, thread runs on: its pause comes at its last
-        // pattern event; the advance above is the telemetry record.
-        if (woke_resumed) rt::clock_notify_all(slot->cv);
-        return {};
-      case PatternMatcher::Outcome::Kind::kHit: {
-        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
-        group = out.group;
-        my_rank = out.rank;
-        info = std::move(out.info);
-        fire_observer = true;
-        if (CBP_OBS_ENABLED()) {
-          const auto detail = static_cast<std::uint16_t>(info.arity);
-          const std::uint64_t stamp = obs::Trace::stamp();
-          obs::Trace::record_for_at(stamp, waiter.tid,
-                                    obs::EventKind::kMatch, record.id,
-                                    my_rank, detail);
-          for (const internal::Waiter* w : out.matched) {
-            obs::Trace::record_for_at(stamp, w->tid, obs::EventKind::kMatch,
-                                      record.id, w->matched_rank, detail);
-          }
-        }
-        slot->cold.participants += 1;
-        rt::clock_notify_all(slot->cv);
-        break;
+      for (internal::Waiter* orphan : detached.orphans) {
+        orphan->cancelled = true;
       }
-      case PatternMatcher::Outcome::Kind::kPark: {
-        slot->postponed.push_back(&waiter);
-        slot->cold.postponed += 1;
-        CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, site);
-        if (woke_resumed) rt::clock_notify_all(slot->cv);
-
-        const auto scaled_timeout = scaled(timeout);
-        rt::Stopwatch wait_clock;
-        rt::clock_wait_for(slot->cv, lock, scaled_timeout, [&] {
-          return waiter.matched || waiter.cancelled || waiter.resumed;
-        });
-        const std::int64_t wait_us = wait_clock.elapsed_us();
-        slot->cold.total_wait_us += wait_us;
-        slot->cold.wait_hist.record(
-            wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
-
-        auto it = std::find(slot->postponed.begin(), slot->postponed.end(),
-                            &waiter);
-        if (it != slot->postponed.end()) slot->postponed.erase(it);
-
-        if (waiter.matched) {
-          group = waiter.group;
-          my_rank = waiter.matched_rank;
-          slot->cold.participants += 1;
-          break;
-        }
-        if (waiter.resumed) {
-          // Consumed mid-pattern (the run needs this thread later) or
-          // orphaned by a hit that completed without this event —
-          // either way: continue, no hit.
-          return {};
-        }
-        // Timed out or cancelled: this thread's park is over, and the
-        // partial match it anchored is dead — abort the whole run.
-        if (slot->matcher != nullptr) {
-          PatternMatcher::DetachResult detached =
-              slot->matcher->detach(waiter.run, &waiter);
-          if (detached.aborted) {
-            slot->cold.pattern_aborts += 1;
-            if (CBP_OBS_ENABLED()) {
-              obs::Trace::record(obs::EventKind::kPatternAbort, record.id,
-                                 site,
-                                 static_cast<std::uint16_t>(detached.progress));
-            }
-            for (internal::Waiter* orphan : detached.orphans) {
-              orphan->cancelled = true;
-            }
-            if (!detached.orphans.empty()) rt::clock_notify_all(slot->cv);
-          }
-        }
-        if (waiter.cancelled) {
-          slot->cold.cancelled += 1;
-          CBP_OBS_EVENT(obs::EventKind::kCancel, record.id, site);
-        } else {
-          slot->cold.timeouts += 1;
-          CBP_OBS_EVENT(obs::EventKind::kTimeout, record.id, site);
-        }
-        return {};
-      }
+      if (!detached.orphans.empty()) rt::clock_notify_all(slot.cv);
     }
   }
-
-  if (fire_observer) {
-    std::function<void(const HitInfo&)> observer;
-    bool verbose = false;
-    {
-      std::scoped_lock lock(observer_mu_);
-      observer = observer_;
-      verbose = verbose_;
-    }
-    if (verbose) {
-      std::string line;
-      line.reserve(info.description.size() + info.name.size() + 32);
-      line += "[cbp] hit: ";
-      line += info.description;
-      line += " (breakpoint '";
-      line += info.name;
-      line += "')\n";
-      std::cerr << line;
-    }
-    if (observer) observer(info);
-  }
-
-  await_turn(*group, my_rank, scoped);
-  CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, my_rank);
-
-  {
-    const auto order_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              rt::clock_now() - group->match_time)
-                              .count();
-    std::scoped_lock lock(slot->mu);
-    slot->cold.order_hist.record(
-        order_us > 0 ? static_cast<std::uint64_t>(order_us) : 0);
-  }
-
-  TriggerResult result;
-  result.hit = true;
-  if (scoped) result.guard = OrderingGuard(group, my_rank);
-  return result;
+  count_miss(slot, record.id, site, waiter.cancelled);
+  return {};
 }
 
 TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
                                      BTrigger& bt, int rank, int arity,
                                      std::chrono::microseconds timeout,
                                      bool scoped, TransportPolicy& transport) {
-  internal::Slot* slot = record.slot.get();
+  internal::Slot& slot = *record.slot;
 
   // Local refinements stay in-process (core/transport.h): admit() has
   // already applied this process's own warm-up window and hit budget,
   // exactly as if the paper's library were loaded into every process
   // separately.
   {
-    std::scoped_lock lock(slot->mu);
-    slot->cold.postponed += 1;
+    std::scoped_lock lock(slot.mu);
+    slot.cold.postponed += 1;
     CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, rank);
   }
 
@@ -823,38 +746,22 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
   const std::int64_t wait_us = wait_clock.elapsed_us();
 
   {
-    std::scoped_lock lock(slot->mu);
-    slot->cold.total_wait_us += wait_us;
-    slot->cold.wait_hist.record(
+    std::scoped_lock lock(slot.mu);
+    slot.cold.total_wait_us += wait_us;
+    slot.cold.wait_hist.record(
         wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
-    switch (remote.outcome) {
-      case RemoteOutcome::kTimeout:
-        slot->cold.timeouts += 1;
-        CBP_OBS_EVENT(obs::EventKind::kTimeout, record.id, rank);
-        break;
-      case RemoteOutcome::kCancelled:
-      case RemoteOutcome::kError:
-        slot->cold.cancelled += 1;
-        CBP_OBS_EVENT(obs::EventKind::kCancel, record.id, rank);
-        break;
-      case RemoteOutcome::kPeerLost:
-        slot->cold.peer_lost += 1;
-        [[fallthrough]];
-      case RemoteOutcome::kHit:
-        // Per-process view: `hits` counts groups this process joined —
-        // the value `bound` compares against, so the budget is spent by
-        // participation, not by cluster-wide totals.
-        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
-        slot->cold.participants += 1;
-        if (CBP_OBS_ENABLED()) {
-          obs::Trace::record_for(rt::this_thread_id(), obs::EventKind::kMatch,
-                                 record.id, remote.rank,
-                                 static_cast<std::uint16_t>(arity));
-        }
-        break;
+    if (!remote.hit()) {
+      count_miss(slot, record.id, rank,
+                 /*cancelled=*/remote.outcome != RemoteOutcome::kTimeout);
+      return {};
     }
+    if (remote.outcome == RemoteOutcome::kPeerLost) slot.cold.peer_lost += 1;
+    // Per-process view: `hits` counts groups this process joined — the
+    // value `bound` compares against, so the budget is spent by
+    // participation, not by cluster-wide totals.  The peers live in
+    // other processes: no local waiter to stamp or wake.
+    count_hit(slot, record.id, remote.rank, arity, {});
   }
-  if (!remote.hit()) return {};
 
   // Each participating process reports the hit to its own observer; the
   // peer processes' thread ids are unknowable here, so only this rank's
@@ -867,24 +774,7 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
   if (remote.rank >= 0 && remote.rank < arity) {
     info.threads[static_cast<std::size_t>(remote.rank)] = rt::this_thread_id();
   }
-  std::function<void(const HitInfo&)> observer;
-  bool verbose = false;
-  {
-    std::scoped_lock lock(observer_mu_);
-    observer = observer_;
-    verbose = verbose_;
-  }
-  if (verbose) {
-    std::string line;
-    line.reserve(info.description.size() + info.name.size() + 32);
-    line += "[cbp] hit: ";
-    line += info.description;
-    line += " (breakpoint '";
-    line += info.name;
-    line += "')\n";
-    std::cerr << line;
-  }
-  if (observer) observer(info);
+  report_hit(info);
 
   CBP_OBS_EVENT(obs::EventKind::kRelease, record.id, remote.rank);
 

@@ -13,10 +13,12 @@
 // breakpoint name is interned once into an immutable NameRecord that
 // bundles the name's Slot and the active SpecOverride.  BTrigger caches
 // the record pointer, so the steady-state trigger path performs zero
-// global-mutex acquisitions and zero string hashes; the only lock left
-// is the per-name slot mutex that guards the Postponed set and its
-// counters.  First-time resolution probes an append-only open-addressing
-// table with plain atomic loads (no reader lock).
+// global-mutex acquisitions and zero string hashes.  A call that may
+// rendezvous takes the per-name slot mutex, which guards the Postponed
+// set and the slow-path counters; the outcomes that cannot rendezvous
+// are counted lock-free (HotCounters).  First-time resolution probes an
+// append-only open-addressing table with plain atomic loads (no reader
+// lock).
 #pragma once
 
 #include <array>
@@ -48,8 +50,7 @@ namespace cbp {
 namespace internal {
 
 // GroupState and Waiter — the shared state of a hit and one postponed
-// thread — live in core/pattern.h now: the PatternMatcher owns the
-// matching machinery and the engine is its caller.
+// thread — live in core/pattern.h, beside the matcher that fills them.
 
 /// Armed-fast-path counters (DESIGN.md §5i).  Every counter a trigger
 /// call can bump *without* rendezvousing lives here as a relaxed atomic,
@@ -149,8 +150,6 @@ struct NameRecord {
 };
 
 }  // namespace internal
-
-// HitInfo moved to core/pattern.h (the matcher fills it).
 
 /// Breakpoint engine.  All public methods are thread-safe.
 ///
@@ -304,18 +303,17 @@ class Engine {
   /// aggregation never holds a table-wide lock while locking slots.
   std::vector<const internal::NameRecord*> records_snapshot() const;
 
-  /// Thin adapter over PatternMatcher::match_rendezvous (the matching
-  /// algorithm itself lives in core/pattern.cc): on success it also
-  /// bumps `hits`, stamps the per-rank obs events and notifies the slot
-  /// cv.  Called with slot->mu held.
-  bool try_match(internal::Slot& slot, BTrigger& bt, int rank, int arity,
-                 bool scoped, std::shared_ptr<internal::GroupState>& group,
-                 int& out_rank, HitInfo& info);
+  /// The observer and verbose report of one hit, made by the
+  /// participant that completed it.  Called with no locks held (CP.22).
+  void report_hit(const HitInfo& info);
 
-  /// Thin adapter over PatternMatcher::await_turn that applies this
-  /// engine's time scale to the order delay and guard cap.  Called with
-  /// no locks held.
-  void await_turn(internal::GroupState& group, int rank, bool scoped) const;
+  /// Releases a matched participant in rank order: the rank-order
+  /// protocol (PatternMatcher::await_turn) with this engine's scaled
+  /// order delay and guard cap, then kRelease, `order_hist` and the hit's
+  /// TriggerResult (guarded when `scoped`).  Called with no locks held.
+  TriggerResult release(internal::Slot& slot,
+                        std::shared_ptr<internal::GroupState> group, int rank,
+                        bool scoped);
 
   /// The admission pipeline every trigger path runs first: local
   /// predicate → outcome counters → arrival index → bound pre-screen →

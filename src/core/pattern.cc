@@ -534,9 +534,8 @@ PatternMatcher::DetachResult PatternMatcher::detach(std::uint64_t run,
 }
 
 // ---------------------------------------------------------------------------
-// The degenerate single-step pattern: classic rendezvous selection
-// (moved verbatim from Engine::try_match) and the rank-order release
-// protocol (moved verbatim from Engine::await_turn).
+// The degenerate single-step pattern: classic rendezvous selection, and
+// the rank-order release protocol every hit uses
 // ---------------------------------------------------------------------------
 
 bool PatternMatcher::match_rendezvous(
@@ -544,99 +543,69 @@ bool PatternMatcher::match_rendezvous(
     int arity, bool scoped, rt::ThreadId my_tid, std::uint32_t name_id,
     std::shared_ptr<internal::GroupState>& group, int& out_rank, HitInfo& info,
     std::vector<internal::Waiter*>& chosen) {
-  // Candidate waiters: same arity, different thread, not yet taken.
-  // predicate_global is user code, but it must be evaluated while the
-  // peer is quiescent in the Postponed set — the slot mutex is exactly
-  // what guarantees that, so predicates are required to be pure and
-  // non-blocking (documented in btrigger.h).
-  if (arity == 2) {
-    for (internal::Waiter* w : postponed) {
-      if (w->matched || w->cancelled || w->arity != 2 || w->tid == my_tid) {
-        continue;
-      }
-      if (!bt.predicate_global(*w->trigger)) continue;
-      chosen.push_back(w);
-      break;
+  // Greedy, earliest-postponed first: one waiter per rank other than
+  // ours (a pair takes any peer, whatever its declared rank), all from
+  // distinct threads, each compatible with the arriving trigger and
+  // pairwise with those already chosen.  predicate_global is user code,
+  // but it must be evaluated while the peer is quiescent in the Postponed
+  // set — the slot mutex is exactly what guarantees that, so predicates
+  // are required to be pure and non-blocking (documented in btrigger.h).
+  const auto need = static_cast<std::size_t>(arity - 1);
+  const bool kary = arity > 2;
+  for (internal::Waiter* w : postponed) {
+    if (chosen.size() == need) break;
+    if (w->matched || w->cancelled || w->arity != arity || w->tid == my_tid ||
+        w->rank < 0 || w->rank >= arity || (kary && w->rank == rank)) {
+      continue;
     }
-    if (chosen.empty()) return false;
-    internal::Waiter* peer = chosen.front();
-    // Effective ranks: declared if distinct; otherwise the postponed
-    // (earlier) thread is ordered first.
-    int peer_rank = peer->rank;
-    int mine = rank;
-    if (peer_rank == mine) {
-      peer_rank = 0;
-      mine = 1;
+    // Clashes with a chosen waiter: same thread, or (k-ary) same rank.
+    if (std::any_of(chosen.begin(), chosen.end(),
+                    [&](const internal::Waiter* c) {
+                      return c->tid == w->tid || (kary && c->rank == w->rank);
+                    })) {
+      continue;
     }
-    group = std::make_shared<internal::GroupState>(2);
-    // Each rank's scoped-ness is fixed here, before any participant can
-    // observe the group: the peer's comes from its Waiter record, ours
-    // from the trigger call itself.  await_turn no longer writes it, so
-    // a rank can never read a flag the owner hadn't published yet.
-    group->uses_guard[static_cast<std::size_t>(peer_rank)] =
-        peer->scoped ? 1 : 0;
-    group->uses_guard[static_cast<std::size_t>(mine)] = scoped ? 1 : 0;
-    peer->matched = true;
-    peer->matched_rank = peer_rank;
-    peer->group = group;
-    out_rank = mine;
-    info.arity = 2;
-    info.threads.assign(2, 0);
-    info.threads[static_cast<std::size_t>(peer_rank)] = peer->tid;
-    info.threads[static_cast<std::size_t>(mine)] = my_tid;
-  } else {
-    // k-ary rendezvous: need one waiter per rank other than ours, all
-    // from distinct threads, each compatible with the arriving trigger
-    // and pairwise compatible with each other (greedy selection).
-    std::vector<internal::Waiter*> by_rank(static_cast<std::size_t>(arity),
-                                           nullptr);
-    std::vector<rt::ThreadId> used_tids{my_tid};
-    for (internal::Waiter* w : postponed) {
-      if (w->matched || w->cancelled || w->arity != arity) continue;
-      if (w->rank < 0 || w->rank >= arity || w->rank == rank) continue;
-      if (by_rank[static_cast<std::size_t>(w->rank)] != nullptr) continue;
-      if (std::find(used_tids.begin(), used_tids.end(), w->tid) !=
-          used_tids.end()) {
-        continue;
-      }
-      if (!bt.predicate_global(*w->trigger)) continue;
-      bool pairwise_ok = true;
-      for (internal::Waiter* other : by_rank) {
-        if (other != nullptr &&
-            !other->trigger->predicate_global(*w->trigger)) {
-          pairwise_ok = false;
-          break;
-        }
-      }
-      if (!pairwise_ok) continue;
-      by_rank[static_cast<std::size_t>(w->rank)] = w;
-      used_tids.push_back(w->tid);
+    if (!bt.predicate_global(*w->trigger) ||
+        !std::all_of(chosen.begin(), chosen.end(),
+                     [&](const internal::Waiter* c) {
+                       return c->trigger->predicate_global(*w->trigger);
+                     })) {
+      continue;
     }
-    for (int r = 0; r < arity; ++r) {
-      if (r != rank && by_rank[static_cast<std::size_t>(r)] == nullptr) {
-        return false;
-      }
-    }
-    group = std::make_shared<internal::GroupState>(arity);
-    group->uses_guard[static_cast<std::size_t>(rank)] = scoped ? 1 : 0;
-    info.arity = arity;
-    info.threads.assign(static_cast<std::size_t>(arity), 0);
-    info.threads[static_cast<std::size_t>(rank)] = my_tid;
-    for (int r = 0; r < arity; ++r) {
-      internal::Waiter* w = by_rank[static_cast<std::size_t>(r)];
-      if (w == nullptr) continue;
-      w->matched = true;
-      w->matched_rank = r;
-      w->group = group;
-      group->uses_guard[static_cast<std::size_t>(r)] = w->scoped ? 1 : 0;
-      chosen.push_back(w);
-      info.threads[static_cast<std::size_t>(r)] = w->tid;
-    }
-    out_rank = rank;
+    chosen.push_back(w);
+  }
+  if (chosen.size() < need) {
+    chosen.clear();
+    return false;
   }
 
+  // Rank order: declared ranks, except that a pair whose declared ranks
+  // are equal orders the postponed (earlier) peer first.
+  std::sort(chosen.begin(), chosen.end(),
+            [](const internal::Waiter* a, const internal::Waiter* b) {
+              return a->rank < b->rank;
+            });
+  const bool tie = arity == 2 && chosen.front()->rank == rank;
+  out_rank = tie ? 1 : rank;
+  group = std::make_shared<internal::GroupState>(arity);
   group->name_id = name_id;
   group->match_time = rt::clock_now();
+  // Each rank's scoped-ness is fixed here, before any participant can
+  // observe the group: a waiter's comes from its Waiter record, ours
+  // from the trigger call itself, so await_turn never reads a flag its
+  // owner has not published yet.
+  group->uses_guard[static_cast<std::size_t>(out_rank)] = scoped ? 1 : 0;
+  info.arity = arity;
+  info.threads.assign(static_cast<std::size_t>(arity), 0);
+  info.threads[static_cast<std::size_t>(out_rank)] = my_tid;
+  for (internal::Waiter* w : chosen) {
+    const int r = tie ? 0 : w->rank;
+    w->matched = true;
+    w->matched_rank = r;
+    w->group = group;
+    group->uses_guard[static_cast<std::size_t>(r)] = w->scoped ? 1 : 0;
+    info.threads[static_cast<std::size_t>(r)] = w->tid;
+  }
   info.name = bt.name();
   info.description = bt.describe();
   return true;

@@ -19,8 +19,7 @@
 // states, state sets as uint64_t bitsets, epsilon closures and
 // reachability precomputed).  A PatternMatcher owns the partial-match
 // state — *runs*, each a state set plus variable bindings plus the
-// parked threads that produced its events — that used to live only in
-// `GroupState`/`Engine::try_match` for the degenerate one-step case.
+// parked threads that produced its events.
 //
 // Matching semantics (all under the owning slot's mutex):
 //   * an event that some run can consume advances that run (oldest
@@ -50,9 +49,9 @@
 //     cancelled, and the partial match is discarded.
 //
 // The classic 2-site and k-ary rendezvous are the degenerate
-// single-step pattern; their matcher (`match_rendezvous`) and the
-// rank-order release protocol (`await_turn`) moved here from engine.cc
-// so one matcher serves both and the broker can adopt it later.
+// single-step pattern: their matcher (`match_rendezvous`) lives here
+// too, beside the rank-order release protocol (`await_turn`) that every
+// hit, rendezvous or pattern, goes through.
 #pragma once
 
 #include <chrono>
@@ -106,10 +105,11 @@ struct GroupState {
   std::vector<rt::TimePoint> release_time;  // guarded by mu
 };
 
-/// One postponed thread (stack-allocated inside Engine::trigger).  The
-/// pattern fields (`run`, `site`, `resumed`) are used only when the
-/// waiter was parked by a PatternMatcher; `arity` is 0 for pattern
-/// waiters so the rendezvous matcher can never select one.
+/// One postponed thread (stack-allocated by the parking trigger call,
+/// which unlinks it before returning).  The pattern fields (`run`,
+/// `site`, `resumed`) are used only when the waiter was parked by a
+/// PatternMatcher; `arity` is 0 for pattern waiters so the rendezvous
+/// matcher can never select one.
 struct Waiter {
   BTrigger* trigger = nullptr;
   rt::ThreadId tid = 0;
@@ -283,12 +283,13 @@ class PatternMatcher {
   // ---- the degenerate single-step pattern: classic rendezvous --------
 
   /// Tries to assemble a full rendezvous group around `bt` from
-  /// `postponed` (moved verbatim from Engine::try_match).  Called with
-  /// the slot mutex held.  On success fills `group` (name_id,
-  /// match_time and every rank's uses_guard fixed before publication),
-  /// marks the selected waiters matched, returns the arriving thread's
-  /// rank via `out_rank`, collects hit info for the observer and the
-  /// selected waiters in `chosen` (for per-rank obs events).
+  /// `postponed`, greedily and earliest-postponed first.  Called with
+  /// the slot mutex held.  On success fills `group` (name_id, match_time
+  /// and every rank's uses_guard fixed before publication), marks the
+  /// selected waiters matched, returns the arriving thread's rank via
+  /// `out_rank`, collects hit info for the observer and the selected
+  /// waiters in `chosen`, in rank order (for per-rank obs events).
+  /// `chosen` must be empty on entry.
   static bool match_rendezvous(const std::vector<internal::Waiter*>& postponed,
                                BTrigger& bt, int rank, int arity, bool scoped,
                                rt::ThreadId my_tid, std::uint32_t name_id,

@@ -47,7 +47,7 @@ struct BreakpointStats {
   /// cancel).
   obs::LogHistogram wait_hist;
   /// Match-to-release ordering latency per participant (us): group
-  /// creation in try_match until the participant's rank was released.
+  /// creation by the matcher until the participant's rank was released.
   obs::LogHistogram order_hist;
 
   BreakpointStats& operator+=(const BreakpointStats& o) {

@@ -163,13 +163,24 @@ TEST_F(JavaReplicaTest, CacheAtomicityManifestsWithIgnoreFirst) {
 
 TEST_F(JavaReplicaTest, CacheIgnoreFirstCutsWarmupCost) {
   // §6.3: without ignoreFirst every warm-up construction pauses for T.
+  // The exact claim is the mechanism, counted per run: ignore_first
+  // suppresses the warm-up arrivals, so none of them postpones.
   options_.pause = 5ms;  // keep the unrefined run affordable
-  const RunOutcome refined =
-      cache::run_atomicity1(options_, cache::kWarmupConstructions);
+  constexpr auto kWarmup =
+      static_cast<std::uint64_t>(cache::kWarmupConstructions);
+  Engine::instance().reset();  // ignore_first counts cumulative arrivals
+  const RunOutcome refined = cache::run_atomicity1(options_, kWarmup);
+  const BreakpointStats with = Engine::instance().stats(cache::kAtomicity1);
+  Engine::instance().reset();
   const RunOutcome unrefined = cache::run_atomicity1(options_, 0);
+  const BreakpointStats without = Engine::instance().stats(cache::kAtomicity1);
+
   EXPECT_EQ(refined.artifact, rt::Artifact::kRaceObserved);
   EXPECT_EQ(unrefined.artifact, rt::Artifact::kRaceObserved);
-  EXPECT_LT(refined.runtime_seconds * 3, unrefined.runtime_seconds);
+  EXPECT_EQ(with.ignored, kWarmup);
+  EXPECT_LE(with.postponed, 2u);  // only the race phase's own arrivals
+  EXPECT_EQ(without.ignored, 0u);
+  EXPECT_GE(without.timeouts, kWarmup);  // every warm-up pause ran out
 }
 
 TEST_F(JavaReplicaTest, CacheDormantWithoutBreakpoints) {

@@ -90,7 +90,7 @@ TEST_F(ReplicaUnitTest, SyncListBasicOps) {
   EXPECT_EQ(list.size(), 2);
   EXPECT_EQ(list.get(0), 7);
   EXPECT_EQ(list.get(1), 8);
-  EXPECT_THROW(list.get(2), std::out_of_range);
+  EXPECT_THROW((void)list.get(2), std::out_of_range);
   list.clear();
   EXPECT_EQ(list.size(), 0);
 }

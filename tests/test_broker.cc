@@ -40,6 +40,22 @@ std::string test_socket_path(const char* tag) {
          std::to_string(counter.fetch_add(1)) + ".sock";
 }
 
+/// A plain blocking client socket: raw wire frames, no BrokerClient.
+int raw_connect(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) return -1;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 // ---------------------------------------------------------------------------
 // Wire protocol
 // ---------------------------------------------------------------------------
@@ -198,6 +214,24 @@ TEST(BrokerClientProtocolTest, UnmatchedArrivalTimesOutBrokerSide) {
   auto a = broker::BrokerClient::connect(path);
   ASSERT_NE(a, nullptr);
 
+  // A longer park on another name is pending first: the broker's wait
+  // must follow the *nearest* deadline, not the first one or a tick.
+  const int patient = raw_connect(path);
+  ASSERT_GE(patient, 0);
+  broker::Message long_park;
+  long_park.type = broker::MsgType::kArrive;
+  long_park.token = 1;
+  long_park.a = 5000;
+  long_park.rank = 0;
+  long_park.arity = 2;
+  long_park.name = "patient";
+  ASSERT_TRUE(broker::write_frame(patient, long_park));
+  const auto admitted_by = SteadyClock::now() + 5s;
+  while (server.stats().arrivals < 1 && SteadyClock::now() < admitted_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(server.stats().arrivals, 1u);
+
   const auto start = SteadyClock::now();
   const RemoteTriggerResult result =
       a->trigger_remote(make_request("lonely", 0, 100ms));
@@ -207,8 +241,10 @@ TEST(BrokerClientProtocolTest, UnmatchedArrivalTimesOutBrokerSide) {
   EXPECT_FALSE(result.hit());
   EXPECT_GE(elapsed, 90ms);   // parked (about) the full bound
   EXPECT_LT(elapsed, 5s);     // ...but nowhere near the client failsafe
+  EXPECT_LT(elapsed, 1s);     // ...nor the pending 5 s park's deadline
   EXPECT_EQ(server.stats().timeouts, 1u);
 
+  ::close(patient);
   a->shutdown();
   server.stop();
 }
@@ -316,21 +352,6 @@ TEST(BrokerClientProtocolTest, BrokerDeathFailsInFlightPostponement) {
 // Raw-socket protocol behaviour (no BrokerClient in the way)
 // ---------------------------------------------------------------------------
 
-int raw_connect(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 TEST(BrokerRawWireTest, CancelIsAcknowledgedAndBadArityIsNaked) {
   const std::string path = test_socket_path("raw");
   broker::Broker server({path});
@@ -375,7 +396,78 @@ TEST(BrokerRawWireTest, CancelIsAcknowledgedAndBadArityIsNaked) {
   EXPECT_EQ(nak->token, 8u);
   EXPECT_GE(server.stats().protocol_errors, 1u);
 
+  // So is one whose timeout is past the broker's ceiling: its deadline
+  // would overflow, and it must not time out at once instead.
+  broker::Message huge = arrive;
+  huge.token = 9;
+  huge.a = std::uint64_t{1} << 62;
+  ASSERT_TRUE(broker::write_frame(fd, huge));
+  auto huge_nak = broker::read_frame(fd);
+  ASSERT_TRUE(huge_nak.has_value());
+  EXPECT_EQ(huge_nak->type, broker::MsgType::kCancelled);
+  EXPECT_EQ(huge_nak->token, 9u);
+  EXPECT_GE(server.stats().protocol_errors, 2u);
+  EXPECT_EQ(server.stats().timeouts, 0u);
+
   ::close(fd);
+  server.stop();
+}
+
+/// Reads frames from `fd` until one of type `type` (or EOF/error).
+std::optional<broker::Message> read_until(int fd, broker::MsgType type) {
+  for (;;) {
+    std::optional<broker::Message> m = broker::read_frame(fd);
+    if (!m || m->type == type) return m;
+  }
+}
+
+// A rank that writes its DONE and closes at once, so that both can land
+// in one poll round: the DONE is handled before the EOF, and the next
+// rank is granted normally, not as the survivor of a lost peer.
+TEST(BrokerRawWireTest, DoneThenCloseGrantsTheNextRankOk) {
+  const std::string path = test_socket_path("done-close");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+
+  constexpr int kRounds = 10;
+  for (int round = 0; round < kRounds; ++round) {
+    const int fd0 = raw_connect(path);
+    const int fd1 = raw_connect(path);
+    ASSERT_GE(fd0, 0);
+    ASSERT_GE(fd1, 0);
+    broker::Message arrive;
+    arrive.type = broker::MsgType::kArrive;
+    arrive.a = 5000;
+    arrive.arity = 2;
+    arrive.name = "done-close-" + std::to_string(round);
+    arrive.token = 1;
+    arrive.rank = 0;
+    ASSERT_TRUE(broker::write_frame(fd0, arrive));
+    arrive.token = 2;
+    arrive.rank = 1;
+    ASSERT_TRUE(broker::write_frame(fd1, arrive));
+
+    auto grant0 = read_until(fd0, broker::MsgType::kGrant);
+    ASSERT_TRUE(grant0.has_value());
+    EXPECT_EQ(grant0->rank, 0);
+    broker::Message done;
+    done.type = broker::MsgType::kDone;
+    done.token = 1;
+    ASSERT_TRUE(broker::write_frame(fd0, done));
+    ::close(fd0);
+
+    auto grant1 = read_until(fd1, broker::MsgType::kGrant);
+    ASSERT_TRUE(grant1.has_value());
+    EXPECT_EQ(grant1->rank, 1);
+    EXPECT_EQ(grant1->flags,
+              static_cast<std::uint8_t>(broker::GrantOutcome::kOk));
+    done.token = 2;
+    ASSERT_TRUE(broker::write_frame(fd1, done));
+    ::close(fd1);
+  }
+  const broker::BrokerStats stats = server.stats();
+  EXPECT_EQ(stats.matches, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(stats.peer_lost, 0u);
   server.stop();
 }
 

@@ -286,7 +286,9 @@ TEST_F(KvStoreReproTest, ResizeRaceDormantWithoutBreakpoints) {
   // the bug), and on a loaded machine a preemption between the reader's
   // pointer load and its scan can land inside publish→poison naturally.
   // The paper's own "without breakpoints" columns are small but nonzero.
-  if (!CBP_TSAN_ACTIVE) EXPECT_LE(buggy, 1);
+  if (!CBP_TSAN_ACTIVE) {
+    EXPECT_LE(buggy, 1);
+  }
 }
 
 TEST_F(KvStoreReproTest, EvictToctouManifestsWhenArmed) {
@@ -309,7 +311,9 @@ TEST_F(KvStoreReproTest, EvictToctouDormantWithoutBreakpoints) {
     buggy += run_evict_toctou(plain).buggy() ? 1 : 0;
   }
   // See ResizeRaceDormantWithoutBreakpoints: near zero, not exactly zero.
-  if (!CBP_TSAN_ACTIVE) EXPECT_LE(buggy, 1);
+  if (!CBP_TSAN_ACTIVE) {
+    EXPECT_LE(buggy, 1);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the runtime substrate: clocks, RNG, thread registry,
-// lock tracker, latches/barriers, and the bounded channel.
+// lock tracker, and latches/barriers.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/channel.h"
 #include "runtime/clock.h"
 #include "runtime/context.h"
 #include "runtime/latch.h"
@@ -359,94 +358,6 @@ TEST(StartGate, HoldsUntilOpen) {
   gate.open();
   for (auto& t : threads) t.join();
   EXPECT_EQ(started.load(), 3);
-}
-
-// ---------------------------------------------------------------------------
-// Channel
-// ---------------------------------------------------------------------------
-
-TEST(Channel, SendReceiveFifo) {
-  Channel<int> ch(4);
-  EXPECT_TRUE(ch.send(1));
-  EXPECT_TRUE(ch.send(2));
-  EXPECT_EQ(ch.receive(), std::optional<int>(1));
-  EXPECT_EQ(ch.receive(), std::optional<int>(2));
-}
-
-TEST(Channel, TrySendFullFails) {
-  Channel<int> ch(1);
-  EXPECT_TRUE(ch.try_send(1));
-  EXPECT_FALSE(ch.try_send(2));
-}
-
-TEST(Channel, ReceiveForTimesOut) {
-  Channel<int> ch(1);
-  EXPECT_EQ(ch.receive_for(10ms), std::nullopt);
-}
-
-TEST(Channel, CloseDrainsThenEnds) {
-  Channel<int> ch(4);
-  ASSERT_TRUE(ch.send(7));
-  ch.close();
-  EXPECT_FALSE(ch.send(8));
-  EXPECT_EQ(ch.receive(), std::optional<int>(7));
-  EXPECT_EQ(ch.receive(), std::nullopt);
-}
-
-TEST(Channel, CloseWakesBlockedReceiver) {
-  Channel<int> ch(1);
-  std::optional<int> got = 99;
-  std::thread t([&] { got = ch.receive(); });
-  std::this_thread::sleep_for(10ms);
-  ch.close();
-  t.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(Channel, BlockedSenderUnblocksOnReceive) {
-  Channel<int> ch(1);
-  ASSERT_TRUE(ch.send(1));
-  std::thread t([&] { EXPECT_TRUE(ch.send(2)); });
-  std::this_thread::sleep_for(10ms);
-  EXPECT_EQ(ch.receive(), std::optional<int>(1));
-  t.join();
-  EXPECT_EQ(ch.receive(), std::optional<int>(2));
-}
-
-TEST(Channel, MpmcStress) {
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 500;
-  Channel<int> ch(8);
-  std::atomic<long> sum{0};
-  std::atomic<int> received{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(ch.send(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = ch.receive()) {
-        sum.fetch_add(*v);
-        received.fetch_add(1);
-      }
-    });
-  }
-  // Join producers (first kProducers threads), then close.
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<size_t>(p)].join();
-  ch.close();
-  for (int c = 0; c < kConsumers; ++c) {
-    threads[static_cast<size_t>(kProducers + c)].join();
-  }
-  const int total = kProducers * kPerProducer;
-  EXPECT_EQ(received.load(), total);
-  long expected = 0;
-  for (int i = 0; i < total; ++i) expected += i;
-  EXPECT_EQ(sum.load(), expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -338,8 +338,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair("cache", "src/apps/cache"),
         std::make_pair("jigsaw", "src/apps/webserver"),
         std::make_pair("logging", "src/apps/logging")),
-    [](const ::testing::TestParamInfo<SaGoldenListTest::ParamType>& info) {
-      return info.param.first;
+    [](const ::testing::TestParamInfo<SaGoldenListTest::ParamType>& p) {
+      return p.param.first;
     });
 
 }  // namespace
