@@ -176,7 +176,7 @@ RunOutcome run_list_atomicity1(const RunOptions& options) {
   });
   rt::Thread clearer([&] {
     gate.wait();
-    rt::clock_sleep_for(std::chrono::microseconds(500));
+    rt::clock_sleep_for(kArrivalSkew);
     AtomicityTrigger trigger(kListAtomicity1, &list);
     trigger.trigger_here(/*is_first_action=*/true);
     list.clear();
@@ -212,6 +212,7 @@ RunOutcome run_crossed_deadlock(Collection& a, Collection& b, BulkCopy copy) {
   });
   rt::Thread t2([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     try {
       copy(b, a);
     } catch (const rt::StallError&) {
@@ -274,7 +275,7 @@ RunOutcome run_map_atomicity1(const RunOptions& options) {
     }
   };
   rt::Thread t1(put_if_absent, 111, std::chrono::microseconds(0));
-  rt::Thread t2(put_if_absent, 222, std::chrono::microseconds(500));
+  rt::Thread t2(put_if_absent, 222, kArrivalSkew);
   gate.open();
   t1.join();
   t2.join();
@@ -331,7 +332,7 @@ RunOutcome run_set_atomicity1(const RunOptions& options) {
     }
   };
   rt::Thread t1(add_if_absent, std::chrono::microseconds(0));
-  rt::Thread t2(add_if_absent, std::chrono::microseconds(500));
+  rt::Thread t2(add_if_absent, kArrivalSkew);
   gate.open();
   t1.join();
   t2.join();

@@ -76,14 +76,15 @@ RunOutcome run_log_corruption(const RunOptions& options) {
   AccessLog log;
   const int requests = std::max(2, static_cast<int>(4 * options.work_scale));
   rt::StartGate gate;
-  auto worker = [&](int base) {
+  auto worker = [&](int base, std::chrono::microseconds skew) {
     gate.wait();
+    rt::clock_sleep_for(skew);
     for (int i = 0; i < requests; ++i) {
       log.log_request(base + i, options.breakpoints);
     }
   };
-  rt::Thread a(worker, 100);
-  rt::Thread b(worker, 200);
+  rt::Thread a(worker, 100, std::chrono::microseconds::zero());
+  rt::Thread b(worker, 200, kArrivalSkew);
   gate.open();
   a.join();
   b.join();
@@ -164,6 +165,7 @@ RunOutcome run_buffer_overflow(const RunOptions& options) {
   });
   rt::Thread w2([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     try {
       append(/*is_first=*/false);
     } catch (const rt::SimulatedCrash& e) {

@@ -125,7 +125,10 @@ RunOutcome run_log4j_deadlock1(const RunOptions& options) {
   hierarchy.arm_deadlock(true);
   return run_two_legs(
       [&] { hierarchy.log(1, options.stall_after); },
-      [&] { hierarchy.close_appender(options.stall_after); });
+      [&] {
+        rt::clock_sleep_for(kArrivalSkew);
+        hierarchy.close_appender(options.stall_after);
+      });
 }
 
 RunOutcome run_log4j_race2(const RunOptions& options) {
@@ -161,7 +164,10 @@ RunOutcome run_jul_deadlock1(const RunOptions& options) {
   manager.arm_deadlock(true);
   return run_two_legs(
       [&] { manager.add_handler(options.stall_after); },
-      [&] { manager.read_configuration(options.stall_after); });
+      [&] {
+        rt::clock_sleep_for(kArrivalSkew);
+        manager.read_configuration(options.stall_after);
+      });
 }
 
 }  // namespace cbp::apps::logging

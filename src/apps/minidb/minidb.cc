@@ -94,6 +94,7 @@ RunOutcome run_log_omission(const RunOptions& options) {
   });
   rt::Thread rotator([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     binlog.rotate(options.breakpoints);
   });
   gate.open();
@@ -178,7 +179,7 @@ RunOutcome run_crash(const RunOptions& options) {
       ConflictTrigger bp1(kCrashBp1, &thd_valid);
       bp1.trigger_here(/*is_first_action=*/false);
       const bool valid = thd_valid.read();  // stale "still alive" check
-      (void)valid;
+      if (!valid) return;  // closed before the query began: nothing runs
       // bp2: the teardown's free happens in this window.
       ConflictTrigger bp2(kCrashBp2, &thd_valid);
       bp2.trigger_here(/*is_first_action=*/false);
@@ -195,6 +196,7 @@ RunOutcome run_crash(const RunOptions& options) {
   });
   rt::Thread closer([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     ConflictTrigger bp1(kCrashBp1, &thd_valid);
     bp1.trigger_here(/*is_first_action=*/true);
     ConflictTrigger bp2(kCrashBp2, &thd_valid);
@@ -229,6 +231,7 @@ RunOutcome run_group_commit_race(const RunOptions& options) {
   // of the pending counter (ranks 0 and 1 of the 3-ary breakpoint)...
   auto committer = [&](int rank) {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew * rank);
     issued.fetch_add(1);
     const int seen = pending.read();
     if (options.breakpoints) {
@@ -241,6 +244,7 @@ RunOutcome run_group_commit_race(const RunOptions& options) {
   // count it observes and zeroes the counter.
   auto leader = [&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew * 2);  // after both committers
     if (options.breakpoints) {
       OrderTrigger trigger(kGroupCommitBp);
       (void)trigger.trigger_here_ranked(2, 3, options.pause);

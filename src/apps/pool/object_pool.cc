@@ -75,6 +75,7 @@ RunOutcome run_missed_notify1(const RunOptions& options) {
   });
   rt::Thread returner([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     object_pool.return_object(options.breakpoints);
   });
   gate.open();

@@ -56,6 +56,13 @@ inline void busy_work(int iterations) {
   for (int i = 0; i < iterations; ++i) sink = sink + i;
 }
 
+/// Nominal delay before a scenario's second leg sets off.  Ordinary
+/// clients do not start in lockstep; on parallel cores, two legs released
+/// together from one StartGate would overlap with no breakpoint armed.
+/// The armed postponement is what bridges this skew (DESIGN.md §5).
+/// Pass it to rt::clock_sleep_for, which scales it like every nominal wait.
+inline constexpr std::chrono::microseconds kArrivalSkew{500};
+
 /// What one run produced.
 struct RunOutcome {
   rt::Artifact artifact = rt::Artifact::kNone;

@@ -52,6 +52,7 @@ RunOutcome run_deadlock1(const RunOptions& options) {
   });
   rt::Thread refresher([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     try {
       index.maybe_refresh(options.stall_after);
     } catch (const rt::StallError&) {

@@ -170,6 +170,7 @@ RunOutcome run_two_legs(Leg1 leg1, Leg2 leg2) {
   });
   rt::Thread t2([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     try {
       leg2();
     } catch (const rt::StallError&) {
@@ -223,6 +224,7 @@ RunOutcome run_missed_notify1(const RunOptions& options) {
   });
   rt::Thread notifier([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     shutdown_event.notify(options.breakpoints);
   });
   gate.open();
@@ -254,6 +256,7 @@ RunOutcome run_race1(const RunOptions& options) {
   });
   rt::Thread shutdown([&] {
     gate.wait();
+    rt::clock_sleep_for(kArrivalSkew);
     factory.begin_shutdown();
   });
   gate.open();
