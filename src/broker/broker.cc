@@ -413,7 +413,8 @@ struct Broker::Impl {
   // peer is gone mid-write.
   static bool flush_out(Conn& conn) {
     while (!conn.outbuf.empty()) {
-      const ssize_t n = ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
+      const ssize_t n = ::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(),
+                               MSG_NOSIGNAL);
       if (n > 0) {
         conn.outbuf.erase(conn.outbuf.begin(), conn.outbuf.begin() + n);
         continue;

@@ -1,6 +1,7 @@
 #include "broker/wire.h"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -100,7 +101,9 @@ bool read_exact(int fd, void* buf, std::size_t size) {
 bool write_exact(int fd, const void* buf, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(buf);
   while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
+    // MSG_NOSIGNAL: a peer that has closed turns into EPIPE here, not
+    // into a SIGPIPE that kills the writing process.
+    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
     if (n > 0) {
       p += n;
       size -= static_cast<std::size_t>(n);

@@ -90,9 +90,11 @@ std::vector<std::uint8_t> encode(const Message& m);
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 
 // ---- fd helpers ----------------------------------------------------------
-// Blocking-fd companions used by the client (the broker's IO loop is
-// nonblocking and keeps its own buffers).  Both retry on EINTR and
-// resume partial transfers; false means EOF or a hard error.
+// Blocking-socket companions used by the client (the broker's IO loop
+// is nonblocking and keeps its own buffers).  Both retry on EINTR and
+// resume partial transfers; false means EOF or a hard error.  Writes
+// use send(MSG_NOSIGNAL), so a closed peer fails the write instead of
+// raising SIGPIPE.
 
 bool read_exact(int fd, void* buf, std::size_t size);
 bool write_exact(int fd, const void* buf, std::size_t size);

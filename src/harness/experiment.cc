@@ -30,6 +30,7 @@ void finalize(RepeatedResult& result) {
   for (const TrialOutcome& trial : result.trials) {
     if (trial.buggy) ++result.buggy_runs;
     if (trial.hit) ++result.hit_runs;
+    if (trial.hit && trial.buggy) ++result.hit_buggy_runs;
     total_runtime += trial.runtime_seconds;
   }
   result.mean_runtime_s =
@@ -136,14 +137,10 @@ OverheadResult measure_overhead(const Runner& runner,
                                 apps::RunOptions options, int runs,
                                 int jobs) {
   OverheadResult result;
-  apps::RunOptions normal = options;
-  normal.breakpoints = false;
-  result.normal_s =
-      run_repeated_parallel(runner, normal, runs, jobs).mean_runtime_s;
-  apps::RunOptions with_ctr = options;
-  with_ctr.breakpoints = true;
-  result.with_ctr_s =
-      run_repeated_parallel(runner, with_ctr, runs, jobs).mean_runtime_s;
+  options.breakpoints = false;
+  result.normal = run_repeated_parallel(runner, options, runs, jobs);
+  options.breakpoints = true;
+  result.armed = run_repeated_parallel(runner, options, runs, jobs);
   return result;
 }
 

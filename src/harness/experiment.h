@@ -64,6 +64,7 @@ struct RepeatedResult {
   int runs = 0;
   int buggy_runs = 0;      ///< runs whose artifact matched (or any bug)
   int hit_runs = 0;        ///< runs with >= 1 breakpoint hit
+  int hit_buggy_runs = 0;  ///< runs that hit AND exhibited the bug
   double mean_runtime_s = 0.0;
   double wall_clock_s = 0.0;  ///< elapsed time for the whole batch
   std::vector<TrialOutcome> trials;  ///< indexed by trial (seed base + i)
@@ -101,17 +102,21 @@ RepeatedResult run_repeated_parallel(const Runner& runner,
                                      apps::RunOptions options, int runs,
                                      int jobs);
 
-/// Normal runtime vs with-breakpoints runtime (the paper's columns 3-5).
+/// An unarmed and an armed batch of the same trials (same seeds): the
+/// paper's runtime columns 3-5, the armed batch's probabilities, and
+/// the unarmed batch's bug rate as the unaided control.
 struct OverheadResult {
-  double normal_s = 0.0;
-  double with_ctr_s = 0.0;
+  RepeatedResult normal;  ///< breakpoints off
+  RepeatedResult armed;   ///< breakpoints on
   [[nodiscard]] double overhead_percent() const {
-    return normal_s <= 0.0 ? 0.0
-                           : 100.0 * (with_ctr_s - normal_s) / normal_s;
+    const double normal_s = normal.mean_runtime_s;
+    return normal_s <= 0.0
+               ? 0.0
+               : 100.0 * (armed.mean_runtime_s - normal_s) / normal_s;
   }
 };
 
-/// `jobs` > 1 runs each phase's trials through the parallel scheduler.
+/// `jobs` > 1 runs each batch's trials through the parallel scheduler.
 /// Per-run runtimes are measured inside the runner, so the ratio stays
 /// meaningful under parallelism as long as workers don't oversubscribe
 /// the machine.

@@ -348,6 +348,41 @@ TEST(BrokerClientProtocolTest, BrokerDeathFailsInFlightPostponement) {
   a->shutdown();
 }
 
+TEST(BrokerClientProtocolTest, ScopedReleaseAfterBrokerStopReturns) {
+  // Releasing a scoped guard sends DONE on a socket whose broker end is
+  // closed.  That write must fail like any other, not raise SIGPIPE and
+  // kill the process.
+  const std::string path = test_socket_path("late-release");
+  auto server = std::make_unique<broker::Broker>(
+      broker::BrokerOptions{path, 2000ms});
+  ASSERT_TRUE(server->start());
+  auto a = broker::BrokerClient::connect(path);
+  auto b = broker::BrokerClient::connect(path);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  RemoteTriggerResult ra, rb;
+  std::thread ta([&] {
+    ra = a->trigger_remote(make_request("late", 0, 5000ms, /*scoped=*/true));
+  });
+  std::thread tb([&] { rb = b->trigger_remote(make_request("late", 1, 5000ms)); });
+  ta.join();
+  ASSERT_EQ(ra.outcome, RemoteOutcome::kHit);
+  ASSERT_TRUE(ra.complete != nullptr);
+
+  server->stop();
+  tb.join();
+  const auto deadline = SteadyClock::now() + 10s;
+  while (a->connected() && SteadyClock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_FALSE(a->connected());
+  ra.complete();  // the guard release: returns instead of dying
+  EXPECT_FALSE(a->connected());
+  a->shutdown();
+  b->shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Raw-socket protocol behaviour (no BrokerClient in the way)
 // ---------------------------------------------------------------------------

@@ -186,6 +186,33 @@ TEST_F(HarnessTest, RunRepeatedParallelIsolatesEngineHits) {
   EXPECT_EQ(Engine::instance().total_stats().hits, 0u);
 }
 
+TEST_F(HarnessTest, HitBuggyRunsCountsRunsThatHitAndShowTheBug) {
+  // Table 1's "Prob": a bug in a run whose breakpoint did not hit is not
+  // the breakpoint's doing.  Seeds 1-4 hit on odd seeds, bug on 1 and 2.
+  auto runner = [](const apps::RunOptions& options) {
+    if (options.seed % 2 == 1) {
+      int obj = 0;
+      rt::Thread a([&] {
+        ConflictTrigger t("hit-and-bug", &obj);
+        (void)t.trigger_here(true, std::chrono::milliseconds(2000));
+      });
+      rt::Thread b([&] {
+        ConflictTrigger t("hit-and-bug", &obj);
+        (void)t.trigger_here(false, std::chrono::milliseconds(2000));
+      });
+      a.join();
+      b.join();
+    }
+    apps::RunOutcome outcome;
+    if (options.seed <= 2) outcome.artifact = rt::Artifact::kCrash;
+    return outcome;
+  };
+  const auto result = run_repeated(runner, {}, 4);
+  EXPECT_EQ(result.hit_runs, 2);
+  EXPECT_EQ(result.buggy_runs, 2);
+  EXPECT_EQ(result.hit_buggy_runs, 1);  // seed 1 only
+}
+
 TEST_F(HarnessTest, RunRepeatedResetsEngineBetweenRuns) {
   // A breakpoint hit in run i must not leak its statistics into run i+1
   // (each paper run is a fresh process).
@@ -218,8 +245,10 @@ TEST_F(HarnessTest, MeasureOverheadTogglesBreakpoints) {
   };
   const auto overhead = measure_overhead(runner, {}, 2);
   EXPECT_EQ(flags, (std::vector<bool>{false, false, true, true}));
-  EXPECT_NEAR(overhead.normal_s, 0.002, 1e-9);
-  EXPECT_NEAR(overhead.with_ctr_s, 0.004, 1e-9);
+  EXPECT_NEAR(overhead.normal.mean_runtime_s, 0.002, 1e-9);
+  EXPECT_NEAR(overhead.armed.mean_runtime_s, 0.004, 1e-9);
+  EXPECT_EQ(overhead.normal.runs, 2);
+  EXPECT_EQ(overhead.armed.runs, 2);
   EXPECT_NEAR(overhead.overhead_percent(), 100.0, 1e-6);
 }
 
@@ -454,7 +483,8 @@ TEST_P(Table1RowSweep, ArmedRunProducesTheRowArtifact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRows, Table1RowSweep,
-                         ::testing::Range<std::size_t>(0, 34));
+                         ::testing::Range<std::size_t>(
+                             0, table1_cases().size()));
 
 }  // namespace
 }  // namespace cbp::harness
