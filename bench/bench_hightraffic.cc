@@ -31,7 +31,9 @@
 // rows through tools/perf_gate.py against BENCH_hightraffic.json; rows
 // get distinct `hightraffic-quick/` names so the two configurations
 // never cross-match).  Exit status: 0 when every enabled gate passes,
-// 1 on an SLO or reproduction-interval failure, 2 on a usage error.
+// 1 on an SLO or reproduction-interval failure, 2 on a usage error,
+// which includes a flag it cannot honour (--clock=virtual,
+// --trial-jobs > 1).
 
 #include <algorithm>
 #include <cstdio>
@@ -87,19 +89,16 @@ int main(int argc, char** argv) {
   const bool quick = take_quick_flag(argc, argv);
   std::printf("=== High-traffic sharded KV: armed-path overhead at "
               "production load ===\n");
-  auto config = bench::setup(argc, argv, /*default_runs=*/10,
-                             /*default_scale=*/0.2);
-  if (config.clock == rt::ClockMode::kVirtual) {
-    std::printf("(note: the KV workload measures real wall time; "
-                "--clock=virtual falls back to scaled)\n");
-    config.clock = rt::ClockMode::kScaled;
-    config.time_scale = 0.2;
-    rt::TimeScale::set(config.time_scale);
-  }
+  const auto config = bench::setup(
+      argc, argv, /*default_runs=*/10, /*default_scale=*/0.2,
+      "its trials share the process-global engine, so they run serially",
+      "the KV workload measures real wall time");
   // The seeded-race choreography (resizer poisons, then the stale reader
   // scans) needs the resolution order enforced on a coarser grain than
-  // the 200us bench default; match the repro tests' 2ms.
-  Config::set_order_delay(2ms);
+  // the 200us bench default: 400us of host time (the order delay is
+  // never scaled), the hold BENCH_hightraffic.json's rows were measured
+  // with, so fresh rows stay comparable to them.
+  Config::set_order_delay(400us);
 
   apps::kvstore::WorkloadOptions base;
   if (quick) {

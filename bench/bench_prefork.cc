@@ -21,8 +21,8 @@
 //
 // fork discipline: trials run serially from this single-threaded
 // process (each trial forks its workers before starting its broker), so
-// --trial-jobs is ignored here.  A virtual clock cannot schedule
-// foreign processes, so --clock=virtual falls back to scaled.
+// --trial-jobs > 1 is refused (exit 2).  A virtual clock cannot schedule
+// foreign processes, so --clock=virtual is refused too.
 
 #include <cstdio>
 #include <iostream>
@@ -35,17 +35,10 @@ int main(int argc, char** argv) {
   using namespace cbp;
   std::printf("=== Cross-process reproduction: pre-fork scoreboard race "
               "via the trigger broker ===\n");
-  auto config = bench::setup(argc, argv, /*default_runs=*/10,
-                             /*default_scale=*/1.0);
-  if (config.jobs > 1) {
-    std::printf("(note: trials fork worker processes and run serially; "
-                "--trial-jobs ignored)\n");
-  }
-  if (config.clock == rt::ClockMode::kVirtual) {
-    std::printf("(note: process-group breakpoints need kernel waits; "
-                "--clock=virtual falls back to scaled)\n");
-    config.clock = rt::ClockMode::kScaled;
-  }
+  const auto config = bench::setup(
+      argc, argv, /*default_runs=*/10, /*default_scale=*/1.0,
+      "trials fork worker processes and run serially",
+      "process-group breakpoints need kernel waits");
 
   apps::httpdlike::PreforkOptions base;
   base.workers = 4;

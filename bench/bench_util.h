@@ -383,9 +383,22 @@ inline void apply(const BenchConfig& config) {
               config.jobs > 1 ? " — parallel trials" : "");
 }
 
-inline BenchConfig setup(int argc, char** argv, int default_runs = 30,
-                         double default_scale = 0.02) {
-  BenchConfig config = parse_args(argc, argv, default_runs, default_scale);
+/// parse_args(), then apply().  A bench refuses (exit 2) a flag it
+/// cannot honour rather than ignore it: a non-null `serial` is why it
+/// refuses --trial-jobs > 1, a non-null `real_time` why it refuses
+/// --clock=virtual.
+inline BenchConfig setup(int argc, char** argv, int default_runs,
+                         double default_scale, const char* serial,
+                         const char* real_time) {
+  const BenchConfig config =
+      parse_args(argc, argv, default_runs, default_scale);
+  if (config.jobs > 1 && serial != nullptr) {
+    usage_error(argv[0], std::string("cannot honour --trial-jobs: ") + serial);
+  }
+  if (config.clock == rt::ClockMode::kVirtual && real_time != nullptr) {
+    usage_error(argv[0],
+                std::string("cannot honour --clock=virtual: ") + real_time);
+  }
   apply(config);
   return config;
 }

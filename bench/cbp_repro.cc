@@ -342,8 +342,7 @@ int live_hits(int n_steps, int m_visits, int pause_steps, int trials,
       for (int step = 0; step < n_steps; ++step) {
         if (std::find(visits.begin(), visits.end(), step) != visits.end()) {
           ConflictTrigger trigger("live-model", &dummy);
-          trigger.trigger_here(
-              true, std::chrono::duration_cast<milliseconds>(pause));
+          Engine::current().trigger(trigger, 0, 2, pause, /*scoped=*/false);
         }
         std::this_thread::sleep_for(std::chrono::microseconds(step_us));
       }
@@ -882,23 +881,15 @@ int main(int argc, char** argv) {
   // usage errors read "cbp-repro <experiment>".
   std::string program = std::string(argv[0]) + " " + experiment->name;
   argv[1] = program.data();
-  const BenchConfig config = bench::parse_args(
-      argc - 1, argv + 1, experiment->runs, experiment->scale);
-  if (config.jobs > 1 && !experiment->parallel) {
-    bench::usage_error(program.c_str(),
-                       std::string(experiment->name) +
-                           " cannot honour --trial-jobs: its trials share "
-                           "process-global state, so they run serially");
-  }
-  if (config.clock == rt::ClockMode::kVirtual && !experiment->virtual_clock) {
-    bench::usage_error(program.c_str(),
-                       std::string(experiment->name) +
-                           " cannot honour --clock=virtual: its threads "
-                           "are not bound to a per-trial clock");
-  }
-
   std::printf("=== %s ===\n", experiment->title);
-  bench::apply(config);
+  const BenchConfig config = bench::setup(
+      argc - 1, argv + 1, experiment->runs, experiment->scale,
+      experiment->parallel
+          ? nullptr
+          : "its trials share process-global state, so they run serially",
+      experiment->virtual_clock
+          ? nullptr
+          : "its threads are not bound to a per-trial clock");
   JsonReport report(experiment->name, config);
   const std::string failures = experiment->run(config, report);
   report.print(std::cout);

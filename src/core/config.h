@@ -25,7 +25,9 @@ namespace cbp {
 /// One engine's copy of the mutable runtime knobs.  Fields are atomics
 /// so trial threads may read them while a harness thread reconfigures;
 /// all access is relaxed (the knobs are control inputs, not data
-/// published between threads).
+/// published between threads).  The timeout and guard cap are nominal
+/// (the engine's time scale applies on use); the order delay is host
+/// time, never scaled, and slept without timer slack.
 struct RuntimeSettings {
   std::atomic<bool> enabled{true};
   std::atomic<std::int64_t> default_timeout_us{100'000};
@@ -89,7 +91,8 @@ class Config {
 
   /// How long a later-ordered thread is held after an earlier-ordered
   /// thread returns from a *non-scoped* trigger_here, so that the earlier
-  /// thread's "next instruction" actually executes first.
+  /// thread's "next instruction" actually executes first.  Host time:
+  /// no TimeScale applies.
   static void set_order_delay(std::chrono::microseconds d);
   static std::chrono::microseconds order_delay();
 

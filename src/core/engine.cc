@@ -411,8 +411,9 @@ void Engine::report_hit(const HitInfo& info) {
 TriggerResult Engine::release(internal::Slot& slot,
                               std::shared_ptr<internal::GroupState> group,
                               int rank, bool scoped) {
-  PatternMatcher::await_turn(*group, rank, scoped,
-                             scaled(settings_.order_delay()),
+  // The order delay is never scaled: a real clock sleeps it in host
+  // time, and a virtual clock takes it verbatim like every wait.
+  PatternMatcher::await_turn(*group, rank, scoped, settings_.order_delay(),
                              scaled(settings_.guard_wait_cap()));
   CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, rank);
   {

@@ -267,11 +267,12 @@ class Engine {
   void set_transport(std::shared_ptr<TransportPolicy> transport);
   [[nodiscard]] std::shared_ptr<TransportPolicy> transport() const;
 
-  /// Per-engine override of the global rt::TimeScale, applied to every
-  /// nominal wait this engine performs (postponement timeout, order
-  /// delay, guard cap).  <= 0 (the default) means "follow the global
-  /// scale"; a positive value pins this engine regardless of concurrent
-  /// TimeScale::set calls from other workers' trials.
+  /// Per-engine override of the global rt::TimeScale, applied to the
+  /// nominal waits this engine performs (postponement timeout, guard
+  /// cap).  The order delay is never scaled: it is host time.  <= 0
+  /// (the default) means "follow the global scale"; a positive value
+  /// pins this engine regardless of concurrent TimeScale::set calls
+  /// from other workers' trials.
   void set_time_scale(double scale) {
     time_scale_.store(scale, std::memory_order_relaxed);
   }
@@ -308,9 +309,10 @@ class Engine {
   void report_hit(const HitInfo& info);
 
   /// Releases a matched participant in rank order: the rank-order
-  /// protocol (PatternMatcher::await_turn) with this engine's scaled
-  /// order delay and guard cap, then kRelease, `order_hist` and the hit's
-  /// TriggerResult (guarded when `scoped`).  Called with no locks held.
+  /// protocol (PatternMatcher::await_turn) with this engine's order
+  /// delay (host time, unscaled) and scaled guard cap, then kRelease,
+  /// `order_hist` and the hit's TriggerResult (guarded when `scoped`).
+  /// Called with no locks held.
   TriggerResult release(internal::Slot& slot,
                         std::shared_ptr<internal::GroupState> group, int rank,
                         bool scoped);

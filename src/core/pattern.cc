@@ -1,5 +1,7 @@
 #include "core/pattern.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cctype>
@@ -611,6 +613,36 @@ bool PatternMatcher::match_rendezvous(
   return true;
 }
 
+namespace {
+
+/// Holds the calling thread's timer slack at 1 ns for one real-clock
+/// sleep, then restores the value it read.  Linux lets a timed wait end
+/// up to the thread's slack late (50 us by default), a quarter of the
+/// default 200 us order delay; a wait that a notify ends never pays it.
+/// Under a bound virtual clock the sleep is free, so this makes no
+/// syscall at all.
+class ExactSleep {
+ public:
+  ExactSleep()
+      : previous_(rt::bound_virtual_clock() != nullptr
+                      ? 0
+                      : ::prctl(PR_GET_TIMERSLACK)) {
+    if (previous_ > 1) ::prctl(PR_SET_TIMERSLACK, 1UL);
+  }
+  ~ExactSleep() {
+    if (previous_ > 1) {
+      ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(previous_));
+    }
+  }
+  ExactSleep(const ExactSleep&) = delete;
+  ExactSleep& operator=(const ExactSleep&) = delete;
+
+ private:
+  int previous_;  ///< the caller's slack in ns; <= 1 means nothing to undo
+};
+
+}  // namespace
+
 void PatternMatcher::await_turn(internal::GroupState& group, int rank,
                                 bool scoped, rt::Duration order_delay,
                                 rt::Duration guard_wait_cap) {
@@ -639,7 +671,9 @@ void PatternMatcher::await_turn(internal::GroupState& group, int rank,
     }
     const auto turn_at = group.release_time[qi] + order_delay;
     const auto deadline = std::min(turn_at, cap_deadline);
-    // Plain bounded sleep: no event ends it early by design.
+    // Plain bounded sleep: no event ends it early by design, so its
+    // timer is its end, and it is slept without slack.
+    const ExactSleep exact;
     rt::clock_wait_until(group.cv, lock, deadline, [] { return false; });
   }
   group.released[static_cast<std::size_t>(rank)] = 1;

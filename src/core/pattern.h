@@ -298,9 +298,9 @@ class PatternMatcher {
                                std::vector<internal::Waiter*>& chosen);
 
   /// Rank-order release protocol; returns after rank `rank` is allowed
-  /// to proceed.  Called with no locks held.  `order_delay` and
-  /// `guard_wait_cap` are the *effective* (already clock-adjusted)
-  /// durations — the engine applies its time scale before calling.
+  /// to proceed.  Called with no locks held.  `order_delay` is host
+  /// time, slept without timer slack; `guard_wait_cap` is the
+  /// *effective* (already clock-adjusted) cap.
   static void await_turn(internal::GroupState& group, int rank, bool scoped,
                          rt::Duration order_delay, rt::Duration guard_wait_cap);
 

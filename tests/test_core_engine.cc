@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/prctl.h>
+
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -227,23 +230,61 @@ TEST_F(EngineTest, ScopedOrderingHoldsSecondUntilGuardDestroyed) {
 }
 
 TEST_F(EngineTest, PlainOrderingDelaysSecondThread) {
-  Config::set_order_delay(std::chrono::microseconds(30'000));
+  // The order delay is host time: a time scale shortens the
+  // postponement, never the order delay.
+  constexpr auto kDelay = std::chrono::microseconds(30'000);
+  for (const double scale : {1.0, 0.02}) {
+    SCOPED_TRACE(scale);
+    Engine::instance().reset();
+    rt::TimeScale::set(scale);
+    Config::set_order_delay(kDelay);
+    // The same 2 s real postponement at either scale.
+    const std::chrono::milliseconds timeout(static_cast<int>(2000 / scale));
+    int obj = 0;
+    std::atomic<bool> first_returned{false};
+    std::atomic<bool> second_saw_first{false};
+    rt::TimePoint first_at, second_at;
+    std::thread first([&] {
+      ConflictTrigger t("bp", &obj);
+      EXPECT_TRUE(t.trigger_here(true, timeout));
+      first_at = rt::Clock::now();
+      first_returned = true;
+    });
+    std::thread second([&] {
+      ConflictTrigger t("bp", &obj);
+      EXPECT_TRUE(t.trigger_here(false, timeout));
+      second_at = rt::Clock::now();
+      second_saw_first = first_returned.load();
+    });
+    first.join();
+    second.join();
+    EXPECT_TRUE(second_saw_first.load());
+    EXPECT_GE(second_at - first_at, kDelay * 8 / 10);
+  }
+}
+
+TEST_F(EngineTest, PlainHitKeepsCallerTimerSlack) {
+  // The order-delay sleep runs without timer slack and then restores
+  // the caller's: the application's threads keep their own slack.
+  constexpr int kSlackNs = 3'000'000;
   int obj = 0;
-  std::atomic<bool> first_returned{false};
-  std::atomic<bool> second_saw_first{false};
-  std::thread first([&] {
+  auto leg = [&](bool is_first, bool& hit, int& slack_after) {
+    ASSERT_EQ(::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(kSlackNs)),
+              0);
     ConflictTrigger t("bp", &obj);
-    ASSERT_TRUE(t.trigger_here(true, 2000ms));
-    first_returned = true;
-  });
-  std::thread second([&] {
-    ConflictTrigger t("bp", &obj);
-    ASSERT_TRUE(t.trigger_here(false, 2000ms));
-    second_saw_first = first_returned.load();
-  });
+    hit = t.trigger_here(is_first, 2000ms);
+    slack_after = ::prctl(PR_GET_TIMERSLACK);
+  };
+  bool hit_first = false, hit_second = false;
+  int slack_first = 0, slack_second = 0;
+  std::thread first(leg, true, std::ref(hit_first), std::ref(slack_first));
+  std::thread second(leg, false, std::ref(hit_second), std::ref(slack_second));
   first.join();
   second.join();
-  EXPECT_TRUE(second_saw_first.load());
+  EXPECT_TRUE(hit_first);
+  EXPECT_TRUE(hit_second);
+  EXPECT_EQ(slack_first, kSlackNs);
+  EXPECT_EQ(slack_second, kSlackNs);
 }
 
 TEST_F(EngineTest, SameDeclaredRankStillMatches) {

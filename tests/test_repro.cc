@@ -1,7 +1,8 @@
 // cbp-repro's flag contract (bench/cbp_repro.cc): an experiment writes
 // its rows to --json as a document obs/json reads back, with a host
 // block and one object per row; a flag an experiment cannot honour
-// exits 2 instead of being ignored.
+// exits 2 instead of being ignored, in cbp-repro and in the two
+// standalone benches (bench_hightraffic, bench_prefork) alike.
 
 #include <gtest/gtest.h>
 
@@ -19,13 +20,15 @@
 namespace cbp {
 namespace {
 
-/// Runs cbp-repro with `args`, output discarded; returns its exit status.
-int repro(const std::string& args) {
+/// Runs `binary` with `args`, output discarded; returns its exit status.
+int exit_status(const char* binary, const std::string& args) {
   const std::string command =
-      std::string(CBP_REPRO) + " " + args + " >/dev/null 2>&1";
+      std::string(binary) + " " + args + " >/dev/null 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
+
+int repro(const std::string& args) { return exit_status(CBP_REPRO, args); }
 
 TEST(ReproContract, JsonHasHostBlockAndOneObjectPerRow) {
   for (const std::string experiment : {"precision", "explore"}) {
@@ -80,6 +83,12 @@ TEST(ReproContract, FlagAnExperimentCannotHonourExitsTwo) {
   EXPECT_EQ(repro("table1 1 --clock=sideways"), 2);
   EXPECT_EQ(repro("table1 1 --json"), 2);
   EXPECT_EQ(repro("no-such-experiment"), 2);
+  // One run (and --quick), so that a bench which stops refusing costs
+  // seconds here, not minutes.
+  for (const std::string flag : {"--clock=virtual", "--trial-jobs=2"}) {
+    EXPECT_EQ(exit_status(BENCH_HIGHTRAFFIC, "--quick 1 " + flag), 2) << flag;
+    EXPECT_EQ(exit_status(BENCH_PREFORK, "1 " + flag), 2) << flag;
+  }
 }
 
 }  // namespace
