@@ -19,6 +19,9 @@
 //                         trial passes iff a survivor was released as
 //                         peer-lost and nothing wedged.
 //
+// Exit 1 when the observed race interval misses the predicted one, or
+// when any kill-mode trial fails.
+//
 // fork discipline: trials run serially from this single-threaded
 // process (each trial forks its workers before starting its broker), so
 // --trial-jobs > 1 is refused (exit 2).  A virtual clock cannot schedule
@@ -133,6 +136,9 @@ int main(int argc, char** argv) {
   std::printf("observed race CI %s predicted hit CI -> %s\n",
               in_interval ? "overlaps" : "MISSES",
               in_interval ? "OK" : "FAIL");
+  const bool kills_released = kill_ok == kill_runs;
+  std::printf("%d/%d kill trials released their peer as peer-lost -> %s\n",
+              kill_ok, kill_runs, kills_released ? "OK" : "FAIL");
 
   bench::JsonReport report("prefork", config.time_scale);
   report.add("prefork/race-prob-with-bp", base.workers,
@@ -146,5 +152,5 @@ int main(int argc, char** argv) {
              "probability");
   report.flush(config.json_path);
 
-  return in_interval ? 0 : 1;
+  return in_interval && kills_released ? 0 : 1;
 }

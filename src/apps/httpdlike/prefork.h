@@ -24,9 +24,10 @@
 //
 // fork discipline: workers are forked while the parent is still
 // single-threaded; only then does the parent start the Broker (whose IO
-// and match threads must never cross a fork).  Workers retry-connect to
-// the socket, attach a BrokerClient transport, and _exit without
-// running atexit handlers.
+// thread must never cross a fork).  Workers retry-connect to the
+// socket, attach a BrokerClient transport (it starts no thread; each
+// trigger call reads its own grant), and _exit without running atexit
+// handlers.
 //
 // kill_worker_on_hit drives the peer-loss path end to end: worker 0
 // takes its breakpoint scoped and _exits(42) while still holding the

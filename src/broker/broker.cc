@@ -164,13 +164,6 @@ struct Broker::Impl {
       m.conn_id = a.conn_id;
       m.token = a.token;
       in_group[{a.conn_id, a.token}] = gid;
-      Message matched;
-      matched.type = MsgType::kMatched;
-      matched.token = a.token;
-      matched.a = gid;
-      matched.rank = r;
-      matched.arity = static_cast<std::int32_t>(ranked.size());
-      send_to(a.conn_id, matched);
     }
     groups.emplace(gid, std::move(g));
     bump(&BrokerStats::matches);
@@ -243,6 +236,10 @@ struct Broker::Impl {
     form_group(std::move(ranked));
   }
 
+  // A postponed arrival is dropped and acknowledged.  A member of a
+  // matched group has given up on its grant (its failsafe fired): that
+  // counts as its DONE, so the rest of the group advances now instead of
+  // after the grant cap.
   void handle_cancel(std::uint64_t conn_id, const Message& msg) {
     for (auto& [name, waiting] : postponed) {
       auto it = std::find_if(waiting.begin(), waiting.end(),
@@ -260,7 +257,7 @@ struct Broker::Impl {
         return;
       }
     }
-    // Already matched (or unknown): the grant path owns it now.
+    handle_done(conn_id, msg);
   }
 
   void handle_done(std::uint64_t conn_id, const Message& msg) {
@@ -379,36 +376,6 @@ struct Broker::Impl {
 
   // ---- IO --------------------------------------------------------------------
 
-  // Handles every complete frame in a connection's input buffer, in
-  // arrival order.  False on a protocol error (caller disconnects).
-  bool drain_frames(std::uint64_t id, Conn& conn) {
-    std::size_t offset = 0;
-    while (conn.inbuf.size() - offset >= 4) {
-      const std::uint8_t* p = conn.inbuf.data() + offset;
-      const std::uint32_t payload = static_cast<std::uint32_t>(p[0]) |
-                                    (static_cast<std::uint32_t>(p[1]) << 8) |
-                                    (static_cast<std::uint32_t>(p[2]) << 16) |
-                                    (static_cast<std::uint32_t>(p[3]) << 24);
-      if (payload < kHeaderSize || payload > kMaxFrame) {
-        bump(&BrokerStats::protocol_errors);
-        return false;
-      }
-      if (conn.inbuf.size() - offset < 4 + payload) break;  // partial
-      std::optional<Message> msg = decode(p + 4, payload);
-      if (!msg) {
-        bump(&BrokerStats::protocol_errors);
-        return false;
-      }
-      handle(id, *msg);
-      offset += 4 + payload;
-    }
-    if (offset > 0) {
-      conn.inbuf.erase(conn.inbuf.begin(),
-                       conn.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
-    }
-    return true;
-  }
-
   // Writes as much buffered output as the socket takes.  False when the
   // peer is gone mid-write.
   static bool flush_out(Conn& conn) {
@@ -504,11 +471,15 @@ struct Broker::Impl {
           eof = true;  // EOF or hard error
           break;
         }
-        // Handle frames received *before* the EOF even when both land in
-        // one round: a client that sends its final DONE and immediately
-        // closes must complete cleanly, not count as a lost peer (its
-        // disconnect is handled after its frames).
-        if (!drain_frames(id, conn) || eof) dead.push_back(id);
+        // Handle frames inline, in arrival order (a malformed one drops
+        // the connection), and those received *before* the EOF even when
+        // both land in one round: a client that sends its final DONE and
+        // immediately closes must complete cleanly, not count as a lost
+        // peer (its disconnect is handled after its frames).
+        const bool framed = drain_frames(
+            conn.inbuf, [&](const Message& m) { handle(id, m); });
+        if (!framed) bump(&BrokerStats::protocol_errors);
+        if (!framed || eof) dead.push_back(id);
       }
       for (std::uint64_t id : dead) disconnect(id);
 

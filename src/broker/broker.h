@@ -7,11 +7,13 @@
 // semantics).  The broker listens on a unix-domain socket; each child
 // engine connects at startup (broker::BrokerClient), identifies itself
 // with its pid and engine tag, and then each remote postponement is one
-// ARRIVE -> {MATCHED+GRANT | TIMEOUT | CANCELLED} exchange (src/broker/
-// wire.h).  Matching is by (name, rank, arity) identity — the broker
+// ARRIVE -> {GRANT, then DONE | TIMEOUT | CANCELLED} exchange (src/broker/
+// wire.h); the GRANT carries the assigned rank, so a matched member gets
+// one frame.  Matching is by (name, rank, arity) identity — the broker
 // plays exactly the role the slot mutex plays in-process: it serializes
 // arrivals per name, pairs complementary ones, and releases the matched
-// group in rank order (GRANT r+1 follows DONE r).
+// group in rank order (GRANT r+1 follows DONE r; a CANCEL from a matched
+// member, sent when its client gave up waiting, counts as its DONE).
 //
 // One thread, the IO thread, owns every fd and all protocol state
 // (postponed arrivals, matched groups, deadlines).  It poll()s the listen
@@ -59,7 +61,7 @@ struct BrokerStats {
   std::uint64_t arrivals = 0;         ///< ARRIVE frames admitted
   std::uint64_t matches = 0;          ///< groups formed
   std::uint64_t timeouts = 0;         ///< arrivals expired unmatched
-  std::uint64_t cancellations = 0;    ///< CANCELs honoured
+  std::uint64_t cancellations = 0;    ///< postponed arrivals CANCEL withdrew
   std::uint64_t peer_lost = 0;        ///< group members lost to peer death
   std::uint64_t forced_advances = 0;  ///< grant-cap expiries
   std::uint64_t protocol_errors = 0;  ///< malformed frames / oversized

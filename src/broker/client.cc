@@ -1,16 +1,20 @@
 #include "broker/client.h"
 
 #include <errno.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "broker/wire.h"
 
@@ -19,19 +23,15 @@ namespace cbp::broker {
 using SteadyClock = std::chrono::steady_clock;
 
 struct BrokerClient::Impl {
-  /// One in-flight postponement, keyed by token.  All fields guarded by
-  /// mu; a single broadcast cv is plenty at breakpoint frequencies.
+  /// One in-flight postponement, keyed by token.  `done` once a terminal
+  /// frame arrived or the connection failed (outcome kError).
   struct Pending {
-    bool granted = false;
-    bool timed_out = false;
-    bool cancelled = false;
-    bool failed = false;
+    bool done = false;
+    RemoteOutcome outcome = RemoteOutcome::kError;
     int rank = -1;
-    GrantOutcome outcome = GrantOutcome::kOk;
   };
 
   int fd = -1;
-  std::thread reader;
 
   std::mutex write_mu;
   bool write_closed = false;  // guarded by write_mu
@@ -39,10 +39,19 @@ struct BrokerClient::Impl {
   std::mutex mu;
   std::condition_variable cv;
   std::unordered_map<std::uint64_t, Pending> pending;  // guarded by mu
-  bool reader_dead = false;                            // guarded by mu
-  bool shutting_down = false;                          // guarded by mu
+  std::vector<std::uint8_t> inbuf;  // guarded by mu: a partial frame
+  bool reading = false;        // a caller owns the read side; guarded by mu
+  bool dead = false;           // broker EOF or bad frame; guarded by mu
+  bool shutting_down = false;  // guarded by mu
 
   std::atomic<std::uint64_t> next_token{1};
+
+  bool send(MsgType type, std::uint64_t token) {
+    Message m;
+    m.type = type;
+    m.token = token;
+    return send(m);
+  }
 
   bool send(const Message& m) {
     std::scoped_lock lock(write_mu);
@@ -50,68 +59,75 @@ struct BrokerClient::Impl {
     return write_frame(fd, m);
   }
 
-  void reader_loop() {
-    for (;;) {
-      std::optional<Message> msg = read_frame(fd);
-      if (!msg) break;  // EOF, error, or malformed frame
-      switch (msg->type) {
-        case MsgType::kMatched: {
-          // Informational: the grant is what releases the caller.
-          std::scoped_lock lock(mu);
-          auto it = pending.find(msg->token);
-          if (it != pending.end()) it->second.rank = msg->rank;
-          break;
-        }
-        case MsgType::kGrant: {
-          bool orphaned = false;
-          {
-            std::scoped_lock lock(mu);
-            auto it = pending.find(msg->token);
-            if (it == pending.end()) {
-              orphaned = true;  // failsafe already gave up on this token
-            } else {
-              it->second.granted = true;
-              it->second.rank = msg->rank;
-              it->second.outcome = static_cast<GrantOutcome>(msg->flags);
-              cv.notify_all();
-            }
-          }
-          if (orphaned) {
-            // Complete on the group's behalf so the remaining ranks
-            // advance instead of waiting for the broker's grant cap.
-            Message done;
-            done.type = MsgType::kDone;
-            done.token = msg->token;
-            send(done);
-          }
-          break;
-        }
-        case MsgType::kTimeout: {
-          std::scoped_lock lock(mu);
-          auto it = pending.find(msg->token);
-          if (it != pending.end()) {
-            it->second.timed_out = true;
-            cv.notify_all();
-          }
-          break;
-        }
-        case MsgType::kCancelled: {
-          std::scoped_lock lock(mu);
-          auto it = pending.find(msg->token);
-          if (it != pending.end()) {
-            it->second.cancelled = true;
-            cv.notify_all();
-          }
-          break;
-        }
-        default:
-          break;  // client-only or unknown: ignore
-      }
+  /// Fails every postponement still waiting (mu held).
+  void fail_all() {
+    for (auto& [token, p] : pending) p.done = true;  // outcome stays kError
+  }
+
+  /// Hands one broker frame to its postponement (mu held).  A frame for
+  /// a token no longer tracked — its caller's failsafe fired — is
+  /// dropped: that caller's CANCEL already counts as its DONE.
+  void dispatch(const Message& msg) {
+    auto it = pending.find(msg.token);
+    if (it == pending.end()) return;
+    Pending& p = it->second;
+    switch (msg.type) {
+      case MsgType::kGrant:
+        p.rank = msg.rank;
+        p.outcome =
+            msg.flags == static_cast<std::uint8_t>(GrantOutcome::kPeerLost)
+                ? RemoteOutcome::kPeerLost
+                : RemoteOutcome::kHit;
+        break;
+      case MsgType::kTimeout:
+        p.outcome = RemoteOutcome::kTimeout;
+        break;
+      case MsgType::kCancelled:
+        p.outcome = RemoteOutcome::kCancelled;
+        break;
+      default:
+        return;  // client-to-broker type: ignore
     }
-    // Broker gone: every in-flight and future postponement fails fast.
-    std::scoped_lock lock(mu);
-    reader_dead = true;
-    for (auto& [token, p] : pending) p.failed = true;
+    p.done = true;
+  }
+
+  /// Takes the read side (mu held through `lock`, nobody reading, the
+  /// connection alive): waits until the socket is readable or until
+  /// `deadline` (not at all once it has passed), reads once, and
+  /// dispatches every complete frame.  Then gives the read side back and
+  /// wakes every waiter, which either takes it over or finds its result.
+  void read_once(std::unique_lock<std::mutex>& lock,
+                 SteadyClock::time_point deadline) {
+    reading = true;
+    lock.unlock();
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - SteadyClock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    std::uint8_t buf[4096];
+    ssize_t n = -1;
+    int err = EAGAIN;  // stays so when poll times out
+    const int ready =
+        ::poll(&pfd, 1,
+               static_cast<int>(std::clamp<std::chrono::milliseconds::rep>(
+                   wait.count(), 0, INT_MAX)));
+    if (ready > 0) {
+      n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+      if (n < 0) err = errno;
+    } else if (ready < 0) {
+      err = errno;
+    }
+    lock.lock();
+    reading = false;
+    if (n > 0) {
+      inbuf.insert(inbuf.end(), buf, buf + n);
+      if (!drain_frames(inbuf, [this](const Message& m) { dispatch(m); })) {
+        dead = true;
+      }
+    } else if (n == 0 || (err != EAGAIN && err != EWOULDBLOCK &&
+                          err != EINTR)) {
+      dead = true;  // broker gone: every in-flight postponement fails
+    }
+    if (dead) fail_all();
     cv.notify_all();
   }
 };
@@ -154,9 +170,6 @@ std::shared_ptr<BrokerClient> BrokerClient::connect(
     client->impl_->fd = -1;
     return nullptr;
   }
-
-  Impl* impl = client->impl_.get();  // joined before impl_ is destroyed
-  impl->reader = std::thread([impl] { impl->reader_loop(); });
   return client;
 }
 
@@ -164,40 +177,46 @@ BrokerClient::~BrokerClient() { shutdown(); }
 
 void BrokerClient::shutdown() {
   if (!impl_) return;
+  Impl& im = *impl_;
+  std::unique_lock lock(im.mu);
+  if (im.shutting_down) return;
+  im.shutting_down = true;
+  im.fail_all();
+  im.cv.notify_all();
   {
-    std::scoped_lock lock(impl_->mu);
-    if (impl_->shutting_down) return;
-    impl_->shutting_down = true;
+    std::scoped_lock write_lock(im.write_mu);
+    im.write_closed = true;
   }
-  {
-    std::scoped_lock lock(impl_->write_mu);
-    impl_->write_closed = true;
-  }
-  if (impl_->fd >= 0) ::shutdown(impl_->fd, SHUT_RDWR);  // wakes the reader
-  if (impl_->reader.joinable()) impl_->reader.join();
-  if (impl_->fd >= 0) {
-    ::close(impl_->fd);
-    impl_->fd = -1;
-  }
+  if (im.fd < 0) return;
+  ::shutdown(im.fd, SHUT_RDWR);  // wakes a caller polling the socket
+  im.cv.wait(lock, [&] { return !im.reading; });
+  ::close(im.fd);
+  im.fd = -1;
 }
 
 bool BrokerClient::connected() const {
   if (!impl_) return false;
-  std::scoped_lock lock(impl_->mu);
-  return !impl_->reader_dead && !impl_->shutting_down;
+  Impl& im = *impl_;
+  std::unique_lock lock(im.mu);
+  // With no call reading, look for the broker's EOF without waiting.
+  if (!im.reading && !im.dead && !im.shutting_down) {
+    im.read_once(lock, SteadyClock::now());
+  }
+  return !im.dead && !im.shutting_down;
 }
 
 RemoteTriggerResult BrokerClient::trigger_remote(
     const RemoteTriggerRequest& request) {
   RemoteTriggerResult result;  // defaults to kError
   if (!impl_) return result;
+  Impl& im = *impl_;
 
   const std::uint64_t token =
-      impl_->next_token.fetch_add(1, std::memory_order_relaxed);
+      im.next_token.fetch_add(1, std::memory_order_relaxed);
   {
-    std::scoped_lock lock(impl_->mu);
-    if (impl_->reader_dead || impl_->shutting_down) return result;
-    impl_->pending.emplace(token, Impl::Pending{});
+    std::scoped_lock lock(im.mu);
+    if (im.dead || im.shutting_down) return result;
+    im.pending.emplace(token, Impl::Pending{});
   }
 
   Message arrive;
@@ -206,76 +225,42 @@ RemoteTriggerResult BrokerClient::trigger_remote(
   arrive.a = static_cast<std::uint64_t>(request.timeout.count());
   arrive.rank = request.rank;
   arrive.arity = request.arity;
-  arrive.flags = request.scoped ? kFlagScoped : 0;
   arrive.name = request.name;
-  if (!impl_->send(arrive)) {
-    std::scoped_lock lock(impl_->mu);
-    impl_->pending.erase(token);
-    return result;
-  }
+  const bool sent = im.send(arrive);
 
   // Failsafe: the broker owns the timeout, but a wedged broker must
   // turn into kError here, never a hang (core/transport.h).
   const auto deadline = SteadyClock::now() + request.timeout + kGrantSlack;
 
-  Impl::Pending snapshot;
-  {
-    std::unique_lock lock(impl_->mu);
-    const bool terminal = impl_->cv.wait_until(lock, deadline, [&] {
-      auto it = impl_->pending.find(token);
-      if (it == impl_->pending.end()) return true;  // defensive
-      const Impl::Pending& p = it->second;
-      return p.granted || p.timed_out || p.cancelled || p.failed;
-    });
-    auto it = impl_->pending.find(token);
-    if (it != impl_->pending.end()) {
-      snapshot = it->second;
-      impl_->pending.erase(it);
+  std::unique_lock lock(im.mu);
+  // References into an unordered_map survive other callers' inserts.
+  Impl::Pending& mine = im.pending.at(token);
+  while (sent && !mine.done && SteadyClock::now() < deadline) {
+    if (im.reading) {
+      im.cv.wait_until(lock, deadline);
     } else {
-      snapshot.failed = true;
-    }
-    if (!terminal) {
-      // Failsafe expired: disown the token (a late GRANT is answered
-      // with DONE by the reader) and tell the broker we are gone.
-      lock.unlock();
-      Message cancel;
-      cancel.type = MsgType::kCancel;
-      cancel.token = token;
-      impl_->send(cancel);
-      return result;
+      im.read_once(lock, deadline);
     }
   }
+  const Impl::Pending outcome = mine;
+  im.pending.erase(token);
+  lock.unlock();
 
-  if (snapshot.failed) return result;
-  if (snapshot.timed_out) {
-    result.outcome = RemoteOutcome::kTimeout;
+  if (!outcome.done) {
+    // Failsafe expired: tell the broker we are gone.  Were we matched,
+    // the CANCEL counts as our DONE and the group advances.
+    if (sent) im.send(MsgType::kCancel, token);
     return result;
   }
-  if (snapshot.cancelled) {
-    result.outcome = RemoteOutcome::kCancelled;
-    return result;
-  }
-
-  result.rank = snapshot.rank;
-  result.outcome = snapshot.outcome == GrantOutcome::kPeerLost
-                       ? RemoteOutcome::kPeerLost
-                       : RemoteOutcome::kHit;
-  if (request.scoped) {
-    // DONE is deferred to the OrderingGuard release; the callback keeps
-    // the client alive even if the engine detaches the transport.
-    auto self = shared_from_this();
-    result.complete = [self, token] {
-      Message done;
-      done.type = MsgType::kDone;
-      done.token = token;
-      self->impl_->send(done);
-    };
-  } else {
-    Message done;
-    done.type = MsgType::kDone;
-    done.token = token;
-    impl_->send(done);
-  }
+  result.outcome = outcome.outcome;
+  if (!result.hit()) return result;
+  result.rank = outcome.rank;
+  // The hit ends when the engine calls `complete` (a plain hit's last
+  // act, or a scoped hit's guard release); the callback keeps the client
+  // alive even if the engine detaches the transport first.
+  result.complete = [self = shared_from_this(), token] {
+    self->impl_->send(MsgType::kDone, token);
+  };
   return result;
 }
 

@@ -66,7 +66,8 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
   Message m;
   const std::uint8_t type = data[0];
   if (type < static_cast<std::uint8_t>(MsgType::kHello) ||
-      type > static_cast<std::uint8_t>(MsgType::kCancelled)) {
+      type > static_cast<std::uint8_t>(MsgType::kCancelled) ||
+      type == 5) {  // 5: the retired MATCHED frame
     return std::nullopt;
   }
   m.type = static_cast<MsgType>(type);
@@ -80,6 +81,23 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
   if (kHeaderSize + name_len != size) return std::nullopt;
   m.name.assign(reinterpret_cast<const char*>(data + kHeaderSize), name_len);
   return m;
+}
+
+bool drain_frames(std::vector<std::uint8_t>& buf,
+                  const std::function<void(const Message&)>& on_frame) {
+  std::size_t offset = 0;
+  while (buf.size() - offset >= 4) {
+    const std::uint8_t* p = buf.data() + offset;
+    const std::uint32_t payload = get_u32(p);
+    if (payload < kHeaderSize || payload > kMaxFrame) return false;
+    if (buf.size() - offset < 4 + payload) break;  // partial
+    const std::optional<Message> msg = decode(p + 4, payload);
+    if (!msg) return false;
+    on_frame(*msg);
+    offset += 4 + payload;
+  }
+  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(offset));
+  return true;
 }
 
 bool read_exact(int fd, void* buf, std::size_t size) {

@@ -17,18 +17,23 @@
 // Per-type field use:
 //
 //   kHello      client -> broker, once per connection.
-//               a = pid, b = engine tag (PR 4 process-unique identity).
+//               a = pid, b = engine tag (process-unique identity).
 //   kArrive     client -> broker: one postponement.  a = timeout in ms,
-//               rank/arity declared, flags bit 0 = scoped, name set.
+//               rank/arity declared, name set.
 //   kCancel     client -> broker: give up on `token` (failsafe expiry).
-//   kDone       client -> broker: `token`'s guarded instruction is over;
-//               the broker may grant the next rank.
-//   kMatched    broker -> client: `token` matched; rank = assigned rank,
-//               a = group id.
-//   kGrant      broker -> client: `token` may proceed.  flags =
-//               GrantOutcome.
+//               A postponed arrival is dropped and acknowledged; for a
+//               member of a matched group it counts as that member's
+//               kDone.
+//   kDone       client -> broker: `token`'s hit is over; the broker may
+//               grant the next rank.
+//   kGrant      broker -> client: `token` matched and may proceed.
+//               rank = assigned rank, flags = GrantOutcome.  A matched
+//               member's first and only frame.
 //   kTimeout    broker -> client: `token` parked its full bound unmatched.
 //   kCancelled  broker -> client: ack of kCancel.
+//
+// Type 5 (once a MATCHED frame that preceded the grant) is retired and
+// rejected by decode(); the other values keep their numbers.
 //
 // All multi-byte integers are little-endian on the wire regardless of
 // host order (encoded byte-by-byte, so the code is endian-agnostic).
@@ -38,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,7 +55,6 @@ enum class MsgType : std::uint8_t {
   kArrive = 2,
   kCancel = 3,
   kDone = 4,
-  kMatched = 5,
   kGrant = 6,
   kTimeout = 7,
   kCancelled = 8,
@@ -61,9 +66,6 @@ enum class GrantOutcome : std::uint8_t {
   kPeerLost = 1,  ///< a peer process died; the broker released you
   kCap = 2,       ///< a lower rank overran the grant cap; forced advance
 };
-
-/// kArrive flags bit 0: the hit is scoped (DONE deferred to the guard).
-inline constexpr std::uint8_t kFlagScoped = 0x01;
 
 /// Hard ceiling on payload size (length prefix excluded).
 inline constexpr std::size_t kMaxFrame = 4096;
@@ -89,12 +91,20 @@ std::vector<std::uint8_t> encode(const Message& m);
 /// truncated or oversized payload or an unknown message type.
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 
+/// Splits a byte stream into frames: decodes the complete frames at the
+/// front of `buf`, hands each to `on_frame` in order, and erases them;
+/// a partial frame at the end stays for the next read.  False on a
+/// malformed frame: the stream cannot be resynchronised, so the reader
+/// drops it.  The broker and the client both read through it.
+bool drain_frames(std::vector<std::uint8_t>& buf,
+                  const std::function<void(const Message&)>& on_frame);
+
 // ---- fd helpers ----------------------------------------------------------
-// Blocking-socket companions used by the client (the broker's IO loop
-// is nonblocking and keeps its own buffers).  Both retry on EINTR and
-// resume partial transfers; false means EOF or a hard error.  Writes
-// use send(MSG_NOSIGNAL), so a closed peer fails the write instead of
-// raising SIGPIPE.
+// Blocking-socket helpers: the client writes through them, and raw
+// callers (tests, tools) read with read_frame.  Both transfers retry on
+// EINTR and resume partial transfers; false means EOF or a hard error.
+// Writes use send(MSG_NOSIGNAL), so a closed peer fails the write
+// instead of raising SIGPIPE.
 
 bool read_exact(int fd, void* buf, std::size_t size);
 bool write_exact(int fd, const void* buf, std::size_t size);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <iostream>
+#include <thread>
 
 #include "core/config.h"
 #include "obs/trace.h"
@@ -735,7 +736,6 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
   request.name = record.name;
   request.rank = rank;
   request.arity = arity;
-  request.scoped = scoped;
   // The park is a real kernel wait; apply this engine's scale and floor
   // at 1 ms so the broker always sees a positive bound.
   request.timeout = std::max(
@@ -745,6 +745,10 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
   rt::Stopwatch wait_clock;
   RemoteTriggerResult remote = transport.trigger_remote(request);
   const std::int64_t wait_us = wait_clock.elapsed_us();
+  // A plain hit's `complete` is the lower rank's last act, so the rank
+  // it released may still be on its way out.  If that rank was
+  // preempted on this CPU, one yield lets it return first.
+  if (!scoped && remote.rank > 0) std::this_thread::yield();
 
   {
     std::scoped_lock lock(slot.mu);
@@ -782,10 +786,10 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
   TriggerResult result;
   result.hit = true;
   result.peer_lost = remote.outcome == RemoteOutcome::kPeerLost;
-  if (scoped && remote.complete) {
+  if (scoped) {
     result.guard = OrderingGuard(std::move(remote.complete), remote.rank);
   } else if (remote.complete) {
-    remote.complete();  // transport completed scoped-ly; honour it now
+    remote.complete();  // last act: the next rank may proceed
   }
   return result;
 }

@@ -25,9 +25,10 @@
 //   * postponement timeouts are enforced broker-side (the pause is
 //     bounded even if this process stalls), with a client-side real-
 //     time failsafe so a dead broker can never hang the caller;
-//   * release is rank-ordered by broker grants.  A scoped hit defers
-//     its DONE to the OrderingGuard's release via `complete`; a plain
-//     hit completes immediately, so grant order is release order;
+//   * release is rank-ordered by broker grants.  Every hit ends
+//     through `complete`, which lets the next rank proceed: a plain hit
+//     calls it as its last act, a scoped hit hands it to the
+//     OrderingGuard, so it runs when the guard is released;
 //   * a participant whose peer process dies mid-protocol is released
 //     with kPeerLost — the distributed failure mode the in-process
 //     engine never sees — and the engine records it in
@@ -52,7 +53,6 @@ struct RemoteTriggerRequest {
   int arity = 2;
   /// Postponement bound T, already engine-scaled (real milliseconds).
   std::chrono::milliseconds timeout{100};
-  bool scoped = false;  ///< defer DONE to the OrderingGuard release
 };
 
 /// Terminal outcome of a remote postponement.
@@ -67,9 +67,9 @@ enum class RemoteOutcome : unsigned char {
 struct RemoteTriggerResult {
   RemoteOutcome outcome = RemoteOutcome::kError;
   int rank = -1;  ///< rank assigned by the matcher (valid on a hit)
-  /// Set on a scoped hit: the engine wires it into the OrderingGuard so
-  /// destroying/releasing the guard sends the DONE that lets the next
-  /// rank's process proceed.  Null otherwise.
+  /// Set on every hit: ends it, letting the next rank's process
+  /// proceed.  The engine calls it as a plain hit's last act, or wires
+  /// it into a scoped hit's OrderingGuard.  Null otherwise.
   std::function<void()> complete;
 
   [[nodiscard]] bool hit() const {

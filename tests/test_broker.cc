@@ -1,23 +1,29 @@
 // Trigger broker tests (src/broker): wire-protocol encode/decode, the
 // in-process broker/client protocol (match, rank order, timeout,
-// cancel, peer loss, grant cap, broker death), raw-socket protocol
-// errors, and fork-based cross-process smoke at the engine level — two
-// worker processes matching a scope=process-group breakpoint through a
-// real unix-domain socket, including the peer-death release path.
+// cancel, peer loss, grant cap, broker death, shutdown, many callers
+// sharing one client), raw-socket protocol behaviour, rank order at the
+// engine level on one CPU, and fork-based cross-process smoke at the
+// engine level — two worker processes matching a scope=process-group
+// breakpoint through a real unix-domain socket, including the peer-death
+// release path.
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "broker/broker.h"
 #include "broker/client.h"
@@ -68,7 +74,7 @@ TEST(WireTest, EncodeDecodeRoundTrip) {
   m.b = 42;
   m.rank = 1;
   m.arity = 3;
-  m.flags = broker::kFlagScoped;
+  m.flags = 0xa5;  // opaque to the codec: every bit round-trips
   m.name = "prefork-scoreboard";
 
   const std::vector<std::uint8_t> frame = broker::encode(m);
@@ -119,10 +125,13 @@ TEST(WireTest, DecodeRejectsMalformedPayloads) {
   std::vector<std::uint8_t> padded(payload, payload + size);
   padded.push_back(0);
   EXPECT_FALSE(broker::decode(padded.data(), padded.size()).has_value());
-  // Unknown message type.
+  // Unknown message type, and the retired type 5 (a MATCHED frame that
+  // preceded the grant; the GRANT carries the rank now).
   std::vector<std::uint8_t> bad_type(payload, payload + size);
-  bad_type[0] = 99;
-  EXPECT_FALSE(broker::decode(bad_type.data(), bad_type.size()).has_value());
+  for (const int type : {99, 5}) {
+    bad_type[0] = static_cast<std::uint8_t>(type);
+    EXPECT_FALSE(broker::decode(bad_type.data(), bad_type.size()).has_value());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -131,14 +140,50 @@ TEST(WireTest, DecodeRejectsMalformedPayloads) {
 
 RemoteTriggerRequest make_request(const std::string& name, int rank,
                                   std::chrono::milliseconds timeout,
-                                  bool scoped = false, int arity = 2) {
+                                  int arity = 2) {
   RemoteTriggerRequest request;
   request.name = name;
   request.rank = rank;
   request.arity = arity;
   request.timeout = timeout;
-  request.scoped = scoped;
   return request;
+}
+
+/// One plain hit through the client, ended as the engine ends it: the
+/// caller's last act is `complete`, which sends its DONE.
+RemoteTriggerResult plain_hit(broker::BrokerClient& client,
+                              const RemoteTriggerRequest& request) {
+  RemoteTriggerResult result = client.trigger_remote(request);
+  if (result.complete) result.complete();
+  return result;
+}
+
+/// Threads of this process, as /proc/self/task lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(BrokerClientProtocolTest, ConnectStartsNoThread) {
+  const std::string path = test_socket_path("no-thread");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+
+  const std::size_t before = thread_count();
+  auto a = broker::BrokerClient::connect(path);
+  auto b = broker::BrokerClient::connect(path);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(thread_count(), before);
+  EXPECT_TRUE(a->connected());
+
+  a->shutdown();
+  b->shutdown();
+  server.stop();
 }
 
 TEST(BrokerClientProtocolTest, TwoClientsMatchInDeclaredRankOrder) {
@@ -152,8 +197,8 @@ TEST(BrokerClientProtocolTest, TwoClientsMatchInDeclaredRankOrder) {
   ASSERT_NE(b, nullptr);
 
   RemoteTriggerResult ra, rb;
-  std::thread ta([&] { ra = a->trigger_remote(make_request("bp", 0, 5000ms)); });
-  std::thread tb([&] { rb = b->trigger_remote(make_request("bp", 1, 5000ms)); });
+  std::thread ta([&] { ra = plain_hit(*a, make_request("bp", 0, 5000ms)); });
+  std::thread tb([&] { rb = plain_hit(*b, make_request("bp", 1, 5000ms)); });
   ta.join();
   tb.join();
 
@@ -170,6 +215,7 @@ TEST(BrokerClientProtocolTest, TwoClientsMatchInDeclaredRankOrder) {
   EXPECT_EQ(stats.matches, 1u);
   EXPECT_EQ(stats.timeouts, 0u);
   EXPECT_EQ(stats.peer_lost, 0u);
+  EXPECT_EQ(stats.forced_advances, 0u);  // rank 0's complete() advanced
 
   a->shutdown();
   b->shutdown();
@@ -187,12 +233,12 @@ TEST(BrokerClientProtocolTest, EqualDeclaredRanksOrderByArrival) {
   ASSERT_NE(b, nullptr);
 
   RemoteTriggerResult ra, rb;
-  std::thread ta([&] { ra = a->trigger_remote(make_request("tie", 0, 5000ms)); });
+  std::thread ta([&] { ra = plain_hit(*a, make_request("tie", 0, 5000ms)); });
   // Make A's arrival strictly earlier: the broker breaks the declared-
   // rank tie the way the in-process engine does — earlier-postponed
   // goes first.
   std::this_thread::sleep_for(150ms);
-  std::thread tb([&] { rb = b->trigger_remote(make_request("tie", 0, 5000ms)); });
+  std::thread tb([&] { rb = plain_hit(*b, make_request("tie", 0, 5000ms)); });
   ta.join();
   tb.join();
 
@@ -200,6 +246,7 @@ TEST(BrokerClientProtocolTest, EqualDeclaredRanksOrderByArrival) {
   EXPECT_EQ(rb.outcome, RemoteOutcome::kHit);
   EXPECT_EQ(ra.rank, 0);
   EXPECT_EQ(rb.rank, 1);
+  EXPECT_EQ(server.stats().forced_advances, 0u);
 
   a->shutdown();
   b->shutdown();
@@ -261,15 +308,14 @@ TEST(BrokerClientProtocolTest, ScopedPeerDeathReleasesSurvivorAsPeerLost) {
 
   RemoteTriggerResult rd, rs;
   std::thread td([&] {
-    rd = doomed->trigger_remote(make_request("crash", 0, 5000ms,
-                                             /*scoped=*/true));
+    rd = doomed->trigger_remote(make_request("crash", 0, 5000ms));
   });
   std::thread ts([&] {
     rs = survivor->trigger_remote(make_request("crash", 1, 5000ms));
   });
 
-  // Rank 0 is granted first and holds the group (scoped: DONE deferred
-  // to `complete`, which we never call — a crashed process).
+  // Rank 0 is granted first and holds the group (its DONE waits for
+  // `complete`, which we never call — a crashed process).
   td.join();
   ASSERT_EQ(rd.outcome, RemoteOutcome::kHit);
   ASSERT_TRUE(rd.complete != nullptr);
@@ -299,8 +345,7 @@ TEST(BrokerClientProtocolTest, LeakedGuardForceAdvancesAfterGrantCap) {
 
   RemoteTriggerResult rl, rw;
   std::thread tl([&] {
-    rl = leaker->trigger_remote(make_request("leak", 0, 5000ms,
-                                             /*scoped=*/true));
+    rl = leaker->trigger_remote(make_request("leak", 0, 5000ms));
   });
   std::thread tw([&] {
     rw = waiter->trigger_remote(make_request("leak", 1, 5000ms));
@@ -363,7 +408,7 @@ TEST(BrokerClientProtocolTest, ScopedReleaseAfterBrokerStopReturns) {
 
   RemoteTriggerResult ra, rb;
   std::thread ta([&] {
-    ra = a->trigger_remote(make_request("late", 0, 5000ms, /*scoped=*/true));
+    ra = a->trigger_remote(make_request("late", 0, 5000ms));
   });
   std::thread tb([&] { rb = b->trigger_remote(make_request("late", 1, 5000ms)); });
   ta.join();
@@ -381,6 +426,94 @@ TEST(BrokerClientProtocolTest, ScopedReleaseAfterBrokerStopReturns) {
   EXPECT_FALSE(a->connected());
   a->shutdown();
   b->shutdown();
+}
+
+// shutdown() while a caller is blocked reading the socket: the caller
+// wakes and fails at once, and shutdown() returns (it closes the fd only
+// once the caller has let go).
+TEST(BrokerClientProtocolTest, ShutdownWakesAReadingCaller) {
+  const std::string path = test_socket_path("shutdown-reader");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+  auto a = broker::BrokerClient::connect(path);
+  ASSERT_NE(a, nullptr);
+
+  RemoteTriggerResult result;
+  std::thread t([&] {
+    result = a->trigger_remote(make_request("alone", 0, 30000ms));
+  });
+  const auto admitted_by = SteadyClock::now() + 5s;
+  while (server.stats().arrivals < 1 && SteadyClock::now() < admitted_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const auto start = SteadyClock::now();
+  a->shutdown();
+  t.join();
+
+  EXPECT_LT(SteadyClock::now() - start, 5s);  // not the 30 s park
+  EXPECT_EQ(result.outcome, RemoteOutcome::kError);
+  EXPECT_FALSE(a->connected());
+  server.stop();
+}
+
+// Many threads of one process share its client, and so its read side:
+// whichever caller reads hands each frame to the caller it belongs to.
+// One more caller of the same client parks on a name nobody else uses
+// (it may hold the read side all along) and must still time out.
+TEST(BrokerClientProtocolTest, ManyCallersShareOneClient) {
+  const std::string path = test_socket_path("many");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+  auto a = broker::BrokerClient::connect(path);
+  auto b = broker::BrokerClient::connect(path);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  RemoteTriggerResult parked;
+  std::thread parker([&] {
+    parked = plain_hit(*a, make_request("many-parked", 0, 1000ms));
+  });
+  const auto admitted_by = SteadyClock::now() + 5s;
+  while (server.stats().arrivals < 1 && SteadyClock::now() < admitted_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+
+  // Caller i of client a (rank 0) pairs with caller i of client b
+  // (rank 1) on its own name.
+  constexpr int kCallers = 4;
+  constexpr int kHits = 200;
+  std::atomic<int> right{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    for (int rank = 0; rank < 2; ++rank) {
+      callers.emplace_back([&, i, rank] {
+        broker::BrokerClient& client = rank == 0 ? *a : *b;
+        const RemoteTriggerRequest request =
+            make_request("many-" + std::to_string(i), rank, 5000ms);
+        for (int k = 0; k < kHits; ++k) {
+          const RemoteTriggerResult r = plain_hit(client, request);
+          (r.outcome == RemoteOutcome::kHit && r.rank == rank ? right : wrong)
+              .fetch_add(1);
+        }
+      });
+    }
+  }
+  for (std::thread& t : callers) t.join();
+  parker.join();
+
+  EXPECT_EQ(right.load(), 2 * kCallers * kHits);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(parked.outcome, RemoteOutcome::kTimeout);
+  const broker::BrokerStats stats = server.stats();
+  EXPECT_EQ(stats.matches, static_cast<std::uint64_t>(kCallers * kHits));
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.forced_advances, 0u);
+  EXPECT_EQ(stats.peer_lost, 0u);
+
+  a->shutdown();
+  b->shutdown();
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -506,6 +639,97 @@ TEST(BrokerRawWireTest, DoneThenCloseGrantsTheNextRankOk) {
   server.stop();
 }
 
+/// Parks a raw rank-0 arrival (token 1) on `fd0` and a rank-1 arrival
+/// (token 2) on `fd1`, so the broker matches them.
+void arrive_pair(int fd0, int fd1, const std::string& name) {
+  broker::Message arrive;
+  arrive.type = broker::MsgType::kArrive;
+  arrive.a = 5000;
+  arrive.arity = 2;
+  arrive.name = name;
+  arrive.token = 1;
+  arrive.rank = 0;
+  ASSERT_TRUE(broker::write_frame(fd0, arrive));
+  arrive.token = 2;
+  arrive.rank = 1;
+  ASSERT_TRUE(broker::write_frame(fd1, arrive));
+}
+
+void send_raw(int fd, broker::MsgType type, std::uint64_t token) {
+  broker::Message m;
+  m.type = type;
+  m.token = token;
+  ASSERT_TRUE(broker::write_frame(fd, m));
+}
+
+// A matched member gets one frame: its GRANT, which carries its rank.
+TEST(BrokerRawWireTest, MatchedRankOneFirstReceivesItsGrant) {
+  const std::string path = test_socket_path("one-frame");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+  const int fd0 = raw_connect(path);
+  const int fd1 = raw_connect(path);
+  ASSERT_GE(fd0, 0);
+  ASSERT_GE(fd1, 0);
+  arrive_pair(fd0, fd1, "one-frame");
+
+  const auto first0 = broker::read_frame(fd0);
+  ASSERT_TRUE(first0.has_value());
+  EXPECT_EQ(first0->type, broker::MsgType::kGrant);
+  EXPECT_EQ(first0->rank, 0);
+  send_raw(fd0, broker::MsgType::kDone, 1);
+
+  const auto first1 = broker::read_frame(fd1);
+  ASSERT_TRUE(first1.has_value());
+  EXPECT_EQ(first1->type, broker::MsgType::kGrant);
+  EXPECT_EQ(first1->token, 2u);
+  EXPECT_EQ(first1->rank, 1);
+  EXPECT_EQ(first1->flags,
+            static_cast<std::uint8_t>(broker::GrantOutcome::kOk));
+  send_raw(fd1, broker::MsgType::kDone, 2);
+
+  ::close(fd0);
+  ::close(fd1);
+  server.stop();
+}
+
+// A granted member whose client gave up on it sends CANCEL, not DONE.
+// The broker counts it as the member's DONE: the next rank is granted
+// at once, not forced past after the grant cap.
+TEST(BrokerRawWireTest, CancelFromAGrantedMemberCountsAsDone) {
+  const std::string path = test_socket_path("cancel-done");
+  broker::BrokerOptions options;
+  options.socket_path = path;
+  options.grant_cap = 2000ms;
+  broker::Broker server(options);
+  ASSERT_TRUE(server.start());
+  const int fd0 = raw_connect(path);
+  const int fd1 = raw_connect(path);
+  ASSERT_GE(fd0, 0);
+  ASSERT_GE(fd1, 0);
+  arrive_pair(fd0, fd1, "cancel-done");
+
+  const auto grant0 = read_until(fd0, broker::MsgType::kGrant);
+  ASSERT_TRUE(grant0.has_value());
+  EXPECT_EQ(grant0->rank, 0);
+  const auto cancelled_at = SteadyClock::now();
+  send_raw(fd0, broker::MsgType::kCancel, 1);
+
+  const auto grant1 = read_until(fd1, broker::MsgType::kGrant);
+  const auto waited = SteadyClock::now() - cancelled_at;
+  ASSERT_TRUE(grant1.has_value());
+  EXPECT_EQ(grant1->rank, 1);
+  EXPECT_EQ(grant1->flags,
+            static_cast<std::uint8_t>(broker::GrantOutcome::kOk));
+  EXPECT_LT(waited, 1000ms);  // well before the 2 s cap
+  EXPECT_EQ(server.stats().forced_advances, 0u);
+  send_raw(fd1, broker::MsgType::kDone, 2);
+
+  ::close(fd0);
+  ::close(fd1);
+  server.stop();
+}
+
 TEST(BrokerRawWireTest, OversizedFrameDropsTheConnection) {
   const std::string path = test_socket_path("oversized");
   broker::Broker server({path});
@@ -572,6 +796,94 @@ TEST_F(BrokerEngineTest, ProcessGroupScopeFallsBackToLocalWithoutTransport) {
   // counts one per process — each address space keeps its own stats).
   EXPECT_EQ(Engine::instance().total_stats().hits, 1u);
   EXPECT_EQ(Engine::instance().total_stats().peer_lost, 0u);
+}
+
+/// Pins the calling thread, and every thread it starts from then on, to
+/// the first CPU it may run on; restores its CPU set on destruction.
+class PinnedToOneCpu {
+ public:
+  PinnedToOneCpu() {
+    if (::sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinnedToOneCpu() {
+    if (pinned_) ::sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinnedToOneCpu(const PinnedToOneCpu&) = delete;
+  PinnedToOneCpu& operator=(const PinnedToOneCpu&) = delete;
+
+  [[nodiscard]] bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
+// Rank order of plain remote hits, checked from outside the engine as
+// perfbench does: rank 0 stamps its hit count right after it returns,
+// rank 1 checks it.  On one CPU a rank 0 that sends its DONE is easily
+// preempted before it returns, so this is where rank 1 would overtake
+// it.  Two Engines stand for two processes; the broker runs in this one.
+TEST_F(BrokerEngineTest, PlainHitsReturnInRankOrderOnOneCpu) {
+  const PinnedToOneCpu pin;
+  ASSERT_TRUE(pin.pinned());
+
+  const std::string path = test_socket_path("one-cpu");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+  const auto entries =
+      BreakpointSpec::parse("one-cpu-bp scope=process-group\n").entries();
+  std::array<Engine, 2> engines;
+  std::array<std::shared_ptr<broker::BrokerClient>, 2> clients;
+  for (std::size_t i = 0; i < 2; ++i) {
+    engines[i].set_spec(entries);
+    clients[i] =
+        broker::BrokerClient::connect(path, 5000ms, engines[i].tag());
+    ASSERT_NE(clients[i], nullptr);
+    engines[i].set_transport(clients[i]);
+  }
+
+  constexpr int kGroups = 2000;
+  std::atomic<int> stamp{0};
+  int hits0 = 0;
+  int hits1 = 0;
+  int inversions = 0;
+  std::thread rank0([&] {
+    ScopedEngine bind(engines[0]);
+    ConflictTrigger trigger("one-cpu-bp", nullptr);
+    for (int k = 1; k <= kGroups; ++k) {
+      hits0 += trigger.trigger_here(/*is_first_action=*/true, 5000ms) ? 1 : 0;
+      stamp.store(k, std::memory_order_release);
+    }
+  });
+  std::thread rank1([&] {
+    ScopedEngine bind(engines[1]);
+    ConflictTrigger trigger("one-cpu-bp", nullptr);
+    for (int k = 1; k <= kGroups; ++k) {
+      hits1 += trigger.trigger_here(/*is_first_action=*/false, 5000ms) ? 1 : 0;
+      if (stamp.load(std::memory_order_acquire) != k) ++inversions;
+    }
+  });
+  rank0.join();
+  rank1.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    engines[i].set_transport(nullptr);
+    clients[i]->shutdown();
+  }
+
+  EXPECT_EQ(hits0, kGroups);
+  EXPECT_EQ(hits1, kGroups);
+  EXPECT_EQ(server.stats().matches, static_cast<std::uint64_t>(kGroups));
+  EXPECT_LE(inversions, kGroups / 100);  // perfbench's 1% budget
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
